@@ -11,11 +11,12 @@
 //! unrolling depths, which is exactly the scalability wall the paper
 //! exploits ("none of the circuits can be broken using the BMC attacks").
 
+use crate::miter::{fixed_vars, fresh_vars, stop_token, AttackProblem, Extraction, MiterSession};
 use crate::oracle::SeqOracle;
-use crate::sat_attack::{model_bits, AttackOutcome, AttackStats};
-use rtlock_governor::{CancelToken, Deadline};
-use rtlock_netlist::{CnfBuilder, GateId, GateKind, Netlist};
-use rtlock_sat::{Budget, Lit, SolveResult, Solver};
+use crate::sat_attack::{AttackOutcome, AttackStats};
+use rtlock_governor::CancelToken;
+use rtlock_netlist::{CnfBuilder, GateKind, Netlist};
+use rtlock_sat::{SolveResult, Solver};
 use std::time::{Duration, Instant};
 
 /// BMC attack limits.
@@ -47,32 +48,17 @@ impl Default for BmcConfig {
     }
 }
 
-impl BmcConfig {
-    /// The token the attack polls (cancel token tightened to the timeout).
-    fn stop_token(&self) -> CancelToken {
-        let deadline = Deadline::within(self.timeout);
-        match &self.cancel {
-            Some(t) => t.tightened(deadline),
-            None => CancelToken::with_deadline(deadline),
-        }
-    }
-}
-
-/// One time-frame encoding of a netlist copy.
-struct Frame {
-    gate_vars: Vec<i32>,
-}
-
-/// Encodes `depth` frames of `netlist` with the given key variables; input
-/// variables are taken from `input_vars[t]` (shared across copies).
+/// Encodes `input_vars.len()` frames of the locked netlist with the given
+/// key variables; frame `t` takes its data inputs from `input_vars[t]`.
 /// Frame 0 state = flop init constants; frame t+1 state = frame t D pins.
+/// Returns the gate variables of every frame.
 fn unroll(
     cnf: &mut CnfBuilder,
-    netlist: &Netlist,
+    problem: &AttackProblem<'_>,
     key_vars: &[i32],
     input_vars: &[Vec<i32>],
-    data_inputs: &[GateId],
-) -> Vec<Frame> {
+) -> Vec<Vec<i32>> {
+    let netlist = problem.locked;
     let dffs = netlist.dffs();
     let mut frames = Vec::with_capacity(input_vars.len());
     let mut state_vars: Vec<i32> = dffs
@@ -87,22 +73,11 @@ fn unroll(
         })
         .collect();
     for frame_inputs in input_vars {
-        let in_vars: Vec<i32> = netlist
-            .inputs()
-            .iter()
-            .map(|g| {
-                if let Some(ki) = netlist.key_inputs.iter().position(|k| k == g) {
-                    key_vars[ki]
-                } else {
-                    let xi = data_inputs.iter().position(|d| d == g).expect("partitioned");
-                    frame_inputs[xi]
-                }
-            })
-            .collect();
-        let gate_vars = cnf.encode_comb(netlist, &in_vars, &state_vars);
+        let gate_vars =
+            cnf.encode_comb(netlist, &problem.assemble(key_vars, frame_inputs), &state_vars);
         // Next state = D-pin vars of this frame.
         state_vars = dffs.iter().map(|&d| gate_vars[netlist.gate(d).fanin[0].index()]).collect();
-        frames.push(Frame { gate_vars });
+        frames.push(gate_vars);
     }
     frames
 }
@@ -119,9 +94,12 @@ pub fn bmc_attack(locked: &Netlist, original: &Netlist, config: &BmcConfig) -> A
         return AttackOutcome::Infeasible { reason: "no key inputs".into() };
     }
     let oracle = SeqOracle::new(original);
-    let data_inputs: Vec<GateId> =
-        locked.inputs().iter().copied().filter(|g| !locked.key_inputs.contains(g)).collect();
-    let token = config.stop_token();
+    let token = stop_token(config.cancel.as_ref(), config.timeout);
+    let timed_out = |iterations| AttackOutcome::TimedOut {
+        iterations,
+        elapsed: start.elapsed(),
+        stats: bmc_stats(iterations),
+    };
 
     let mut iterations = 0usize;
     // Accumulated oracle observations: (input trace, output trace).
@@ -130,52 +108,41 @@ pub fn bmc_attack(locked: &Netlist, original: &Netlist, config: &BmcConfig) -> A
     let mut depth = config.initial_depth;
     while depth <= config.max_depth {
         // Rebuild the formula at this depth.
+        let problem = AttackProblem::new(locked);
         let mut cnf = CnfBuilder::new();
-        let mut solver = Solver::new();
-        let mut drained = 0usize;
-        let k1: Vec<i32> = locked.key_inputs.iter().map(|_| cnf.fresh_var()).collect();
-        let k2: Vec<i32> = locked.key_inputs.iter().map(|_| cnf.fresh_var()).collect();
+        let key_bits = locked.key_inputs.len();
+        let keys = [fresh_vars(&mut cnf, key_bits), fresh_vars(&mut cnf, key_bits)];
         let input_vars: Vec<Vec<i32>> =
-            (0..depth).map(|_| data_inputs.iter().map(|_| cnf.fresh_var()).collect()).collect();
-        let frames1 = unroll(&mut cnf, locked, &k1, &input_vars, &data_inputs);
-        let frames2 = unroll(&mut cnf, locked, &k2, &input_vars, &data_inputs);
-        let mut diffs = Vec::new();
-        for (f1, f2) in frames1.iter().zip(&frames2) {
-            for (_, drv) in locked.outputs() {
-                let d = cnf.xor_lit(f1.gate_vars[drv.index()], f2.gate_vars[drv.index()]);
-                diffs.push(d);
-            }
-        }
-        let any = cnf.or_lit(&diffs);
-        let act = cnf.fresh_var();
-        cnf.add_clause(&[-act, any]);
+            (0..depth).map(|_| fresh_vars(&mut cnf, problem.data_inputs.len())).collect();
+        let mut session = MiterSession::<Solver>::open(problem, cnf, keys, |cnf, problem, keys| {
+            // Every output of every frame, frame by frame.
+            let frames = unroll(cnf, problem, keys, &input_vars);
+            frames
+                .iter()
+                .flat_map(|gate_vars| locked.outputs().iter().map(|(_, drv)| gate_vars[drv.index()]))
+                .collect()
+        });
 
         // Re-apply accumulated observations (truncated/extended to depth).
         for (trace, outs) in &observations {
-            for keys in [&k1, &k2] {
-                constrain_observation(&mut cnf, locked, keys, &data_inputs, trace, outs);
-            }
+            session.constrain(|cnf, problem, keys| constrain_observation(cnf, problem, keys, trace, outs));
         }
-        sync(&mut cnf, &mut solver, &mut drained);
 
         loop {
             if token.should_stop().is_some() {
-                return AttackOutcome::TimedOut { iterations, elapsed: start.elapsed(), stats: bmc_stats(iterations) };
+                return timed_out(iterations);
             }
-            solver.set_budget(Budget::cancellable(&token));
-            match solver.solve(&[Lit::from_dimacs(act)]) {
-                SolveResult::Unknown => {
-                    return AttackOutcome::TimedOut { iterations, elapsed: start.elapsed(), stats: bmc_stats(iterations) }
-                }
+            match session.solve_miter(&token) {
+                SolveResult::Unknown => return timed_out(iterations),
                 SolveResult::Unsat => break, // no DIS at this depth — deepen
                 SolveResult::Sat => {
                     iterations += 1;
                     if iterations > config.max_iterations {
-                        return AttackOutcome::TimedOut { iterations, elapsed: start.elapsed(), stats: bmc_stats(iterations) };
+                        return timed_out(iterations);
                     }
                     let mut trace: Vec<Vec<bool>> = Vec::with_capacity(input_vars.len());
                     for (t, fv) in input_vars.iter().enumerate() {
-                        match model_bits(&solver, fv) {
+                        match session.model(fv) {
                             Ok(cycle) => trace.push(cycle),
                             Err(missing) => {
                                 return AttackOutcome::Error {
@@ -190,7 +157,9 @@ pub fn bmc_attack(locked: &Netlist, original: &Netlist, config: &BmcConfig) -> A
                     let named: Vec<Vec<(String, bool)>> = trace
                         .iter()
                         .map(|cycle| {
-                            data_inputs
+                            session
+                                .problem
+                                .data_inputs
                                 .iter()
                                 .zip(cycle)
                                 .map(|(&g, &v)| (locked.gate_name(g).unwrap_or("").to_owned(), v))
@@ -198,58 +167,39 @@ pub fn bmc_attack(locked: &Netlist, original: &Netlist, config: &BmcConfig) -> A
                         })
                         .collect();
                     let outs = oracle.run(&named);
-                    for keys in [&k1, &k2] {
-                        constrain_observation(&mut cnf, locked, keys, &data_inputs, &trace, &outs);
-                    }
+                    session.constrain(|cnf, problem, keys| {
+                        constrain_observation(cnf, problem, keys, &trace, &outs)
+                    });
                     observations.push((trace, outs));
-                    sync(&mut cnf, &mut solver, &mut drained);
                 }
             }
         }
 
         // UNSAT at this depth: candidate key. Validate by simulation; if it
-        // holds on random traces, report it, otherwise deepen. The
-        // extraction solve's three answers diverge: Unknown is budget
-        // exhaustion (mid-extraction deadline — not a property of the
-        // target), Unsat means the accumulated oracle constraints are
-        // inconsistent (a permanent miter/encoding defect retrying can
-        // never fix), and only Sat yields a candidate.
-        let extraction = solver.solve(&[]);
-        if extraction == SolveResult::Unknown {
-            return AttackOutcome::TimedOut { iterations, elapsed: start.elapsed(), stats: bmc_stats(iterations) };
-        }
-        if extraction == SolveResult::Unsat {
-            return AttackOutcome::Infeasible {
-                reason: "oracle observations inconsistent (oracle/netlist mismatch?)".into(),
-            };
-        }
+        // holds on random traces, report it, otherwise deepen.
+        let key = match session
+            .extract_key("oracle observations inconsistent (oracle/netlist mismatch?)")
         {
-            let key = match model_bits(&solver, &k1) {
-                Ok(bits) => bits,
-                Err(missing) => {
-                    return AttackOutcome::Error {
-                        reason: format!(
-                            "SAT model lacks an assignment for key bit {missing}; \
-                             refusing to fabricate key bits"
-                        ),
-                    }
-                }
+            Extraction::Key(key) => key,
+            Extraction::TimedOut => return timed_out(iterations),
+            Extraction::Failed(outcome) => return outcome,
+        };
+        // Validate on traces much longer than the unrolling depth — a key
+        // that merely survives `depth` frames is not recovered (FSM locking
+        // corrupts outputs only once the machine has walked deep enough).
+        if sequential_key_accuracy(locked, original, &key, 16, (4 * depth).max(64), 0xBEE5) == 1.0 {
+            return AttackOutcome::KeyFound {
+                key,
+                iterations,
+                elapsed: start.elapsed(),
+                stats: bmc_stats(iterations),
             };
-            // Validate on traces much longer than the unrolling depth — a
-            // key that merely survives `depth` frames is not recovered
-            // (FSM locking corrupts outputs only once the machine has
-            // walked deep enough).
-            if sequential_key_accuracy(locked, original, &key, 16, (4 * depth).max(64), 0xBEE5) == 1.0 {
-                return AttackOutcome::KeyFound { key, iterations, elapsed: start.elapsed(), stats: bmc_stats(iterations) };
-            }
         }
         depth += 2;
     }
-    AttackOutcome::TimedOut { iterations, elapsed: start.elapsed(), stats: bmc_stats(iterations) }
+    timed_out(iterations)
 }
 
-/// Adds clauses forcing the unrolled circuit under `keys` to reproduce an
-/// observed input/output trace.
 /// BMC attack statistics: one sequential-oracle trace query per accepted
 /// distinguishing input sequence; the BMC loop has no bit-parallel
 /// simulation stage. Deterministic for a fixed configuration.
@@ -261,45 +211,25 @@ fn bmc_stats(iterations: usize) -> AttackStats {
     }
 }
 
+/// Adds clauses forcing the unrolled circuit under `keys` to reproduce an
+/// observed input/output trace.
 fn constrain_observation(
     cnf: &mut CnfBuilder,
-    locked: &Netlist,
+    problem: &AttackProblem<'_>,
     keys: &[i32],
-    data_inputs: &[GateId],
     trace: &[Vec<bool>],
     outs: &[Vec<(String, bool)>],
 ) {
-    let input_vars: Vec<Vec<i32>> = trace
-        .iter()
-        .map(|cycle| {
-            cycle
-                .iter()
-                .map(|&v| {
-                    let var = cnf.fresh_var();
-                    cnf.assert_lit(if v { var } else { -var });
-                    var
-                })
-                .collect()
-        })
-        .collect();
-    let frames = unroll(cnf, locked, keys, &input_vars, data_inputs);
-    for (frame, cycle_outs) in frames.iter().zip(outs) {
-        for (name, drv) in locked.outputs() {
+    let input_vars: Vec<Vec<i32>> = trace.iter().map(|cycle| fixed_vars(cnf, cycle)).collect();
+    let frames = unroll(cnf, problem, keys, &input_vars);
+    for (gate_vars, cycle_outs) in frames.iter().zip(outs) {
+        for (name, drv) in problem.locked.outputs() {
             if let Some((_, v)) = cycle_outs.iter().find(|(n, _)| n == name) {
-                let lit = frame.gate_vars[drv.index()];
+                let lit = gate_vars[drv.index()];
                 cnf.assert_lit(if *v { lit } else { -lit });
             }
         }
     }
-}
-
-fn sync(cnf: &mut CnfBuilder, solver: &mut Solver, drained: &mut usize) {
-    solver.reserve_vars(cnf.num_vars());
-    let clauses = cnf.clauses();
-    for c in &clauses[*drained..] {
-        solver.add_dimacs_clause(c);
-    }
-    *drained = clauses.len();
 }
 
 /// Fraction of matching output bits between the keyed locked netlist and

@@ -2,7 +2,8 @@
 //!
 //! * [`sat_attack()`] — the oracle-guided SAT attack of Subramanyan et al.;
 //! * [`bmc_attack()`] — oracle-guided bounded-model-checking attack for
-//!   circuits without scan access;
+//!   circuits without scan access; both oracle-guided attacks drive one
+//!   crate-private two-key miter session;
 //! * [`ml`] — the oracle-less SWEEP (supervised) and SCOPE (unsupervised)
 //!   constant-propagation attacks;
 //! * [`removal`] — SPS-based point-function removal analysis;
@@ -44,8 +45,8 @@
 
 pub mod bmc_attack;
 pub mod bypass;
-pub mod dip;
 pub mod features;
+mod miter;
 pub mod ml;
 pub mod oracle;
 pub mod portfolio;
@@ -55,7 +56,6 @@ pub mod sat_attack;
 
 pub use bmc_attack::{bmc_attack, sequential_key_accuracy, BmcConfig};
 pub use bypass::{bypass_estimate, BypassEstimate};
-pub use dip::{sat_attack_parallel, sat_attack_parallel_with, DipConfig, PrefilterConfig};
 pub use ml::{scope_attack, MlReport, SweepModel};
 pub use oracle::{CombOracle, SeqOracle};
 pub use portfolio::{

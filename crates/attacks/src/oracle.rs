@@ -66,11 +66,6 @@ impl<'n> CombOracle<'n> {
         self.output_index.get(name).copied()
     }
 
-    /// Number of oracle outputs (the length of every answer vector).
-    pub fn num_outputs(&self) -> usize {
-        self.netlist.outputs().len()
-    }
-
     /// Applies named input values and returns `(output name, value)` pairs
     /// in the oracle netlist's output order. Unlisted inputs read 0.
     ///
@@ -110,21 +105,6 @@ impl<'n> CombOracle<'n> {
         }
         self.sim.eval_comb();
         self.netlist.outputs().iter().map(|(_, g)| self.sim.value(*g) & 1 == 1).collect()
-    }
-
-    /// Batch query: 64 patterns per sweep, one per bit lane of each
-    /// input's word. Returns one word per output in output order — lane
-    /// `l` of output word `o` answers pattern `l`. Unlisted inputs read 0
-    /// in every lane. One netlist evaluation serves all 64 patterns,
-    /// which is what makes the bit-parallel DIP pre-filter cheaper than
-    /// 64 scalar [`CombOracle::query`] calls.
-    pub fn query64(&mut self, assigns: &[(rtlock_netlist::GateId, u64)]) -> Vec<u64> {
-        for &g in self.netlist.inputs() {
-            self.sim.set_input(g, 0);
-        }
-        self.sim.load_sweep(assigns);
-        self.sim.eval_comb();
-        self.sim.outputs()
     }
 }
 
@@ -235,26 +215,6 @@ mod tests {
                 assert_eq!(bits[i], *v);
                 assert_eq!(oracle.output_position(name), Some(i));
             }
-        }
-    }
-
-    #[test]
-    fn query64_lanes_match_scalar_queries() {
-        let mut n = Netlist::new("t");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let c = n.add_input("c");
-        let x = n.add_gate(GateKind::Mux, vec![c, a, b]);
-        n.add_output("y", x);
-        let mut oracle = CombOracle::new(&n);
-        let ids: Vec<_> = ["a", "b", "c"].iter().map(|n| oracle.input_id(n).unwrap()).collect();
-        let words = [0xDEAD_BEEF_0BAD_F00Du64, 0x0123_4567_89AB_CDEF, 0xAAAA_5555_FFFF_0000];
-        let answers = oracle.query64(&[(ids[0], words[0]), (ids[1], words[1]), (ids[2], words[2])]);
-        for lane in 0..64 {
-            let assigns: Vec<_> =
-                ids.iter().zip(&words).map(|(&g, &w)| (g, w >> lane & 1 == 1)).collect();
-            let scalar = oracle.query_bits(&assigns);
-            assert_eq!(answers[0] >> lane & 1 == 1, scalar[0], "lane {lane}");
         }
     }
 

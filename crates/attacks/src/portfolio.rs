@@ -29,7 +29,6 @@
 
 use crate::bmc_attack::{bmc_attack, BmcConfig};
 use crate::bypass::{bypass_estimate, BypassEstimate};
-use crate::dip::{sat_attack_parallel, DipConfig};
 use crate::removal::{removal_attack, RemovalOutcome};
 use crate::sat_attack::{sat_attack, AttackConfig, AttackOutcome};
 use rtlock_artifacts::ArtifactStore;
@@ -100,13 +99,6 @@ pub struct PortfolioConfig {
     /// SAT attack, unless its own `sat.cache` is already set). Verdicts
     /// are byte-identical with or without it.
     pub cache: Option<Arc<ArtifactStore>>,
-    /// When set, the SAT member runs the parallel DIP pipeline
-    /// ([`sat_attack_parallel`]) under this configuration instead of the
-    /// sequential loop. The pipeline is deterministic for a fixed
-    /// configuration, so the portfolio's canonical-verdict guarantee is
-    /// unchanged — but the pipeline's outcome (iterations, counters) is a
-    /// different deterministic point than the sequential attack's.
-    pub dip: Option<DipConfig>,
 }
 
 impl Default for PortfolioConfig {
@@ -125,7 +117,6 @@ impl Default for PortfolioConfig {
             removal_tolerance: 0.0,
             seed: 0xD15_EA5E,
             cache: None,
-            dip: None,
         }
     }
 }
@@ -308,10 +299,7 @@ fn run_member(
                     cache: config.sat.cache.clone().or_else(|| config.cache.clone()),
                     ..config.sat.clone()
                 };
-                MemberOutcome::Attack(match &config.dip {
-                    Some(dip) => sat_attack_parallel(locked, original, &cfg, dip),
-                    None => sat_attack(locked, original, &cfg),
-                })
+                MemberOutcome::Attack(sat_attack(locked, original, &cfg))
             }
             None => MemberOutcome::Unavailable("no combinational scan view".into()),
         },

@@ -13,11 +13,12 @@
 //! locked scan access), the attack refuses — exactly the protection RTLock's
 //! scan locking provides.
 
+use crate::miter::{fixed_vars, fresh_vars, stop_token, AttackProblem, Extraction, MiterSession};
 use crate::oracle::CombOracle;
 use rtlock_artifacts::{encode_comb_cached, ArtifactStore};
-use rtlock_governor::{CancelToken, Deadline};
+use rtlock_governor::CancelToken;
 use rtlock_netlist::{CnfBuilder, GateId, Netlist};
-use rtlock_sat::{Budget, Lit, SatBackend, SolveResult, Solver};
+use rtlock_sat::{SatBackend, SolveResult, Solver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,36 +47,27 @@ impl Default for AttackConfig {
     }
 }
 
-impl AttackConfig {
-    /// The token the attack polls: the configured cancel token tightened to
-    /// the wall-clock timeout, or a pure deadline token without one.
-    pub(crate) fn stop_token(&self) -> CancelToken {
-        let deadline = Deadline::within(self.timeout);
-        match &self.cancel {
-            Some(t) => t.tightened(deadline),
-            None => CancelToken::with_deadline(deadline),
-        }
-    }
-}
-
 /// Counters an attack accumulates while it runs.
 ///
-/// The counter fields (`oracle_queries`, `patterns_simulated`,
-/// `dips_accepted`, `dips_rejected`) are deterministic for a given attack
-/// configuration — identical across worker counts, cache modes and reruns
-/// — and so are safe to surface in canonical (journaled, diffable)
-/// renderings. `round_wall_clock` is wall-clock telemetry and must stay
-/// out of every canonical form, like `elapsed`.
+/// The counter fields are deterministic for a given attack configuration
+/// — identical across worker counts, cache modes and reruns — and so are
+/// safe to surface in canonical (journaled, diffable) renderings.
+/// `round_wall_clock` is wall-clock telemetry and must stay out of every
+/// canonical form, like `elapsed`.
+///
+/// No attack simulates pattern batches or rejects a candidate DIP, so
+/// `patterns_simulated` and `dips_rejected` are always 0. They stay
+/// because the canonical form `simulated=0, dips=N+0` is pinned by the
+/// benchmark and stored in existing journals.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AttackStats {
-    /// Oracle invocations (one batch `query64` sweep counts once).
+    /// Oracle invocations.
     pub oracle_queries: usize,
-    /// Input patterns evaluated by bit-parallel simulation (64 per sweep).
+    /// Input patterns evaluated by bit-parallel simulation; always 0.
     pub patterns_simulated: usize,
     /// Distinguishing patterns whose I/O constraints entered the miter.
     pub dips_accepted: usize,
-    /// Candidate patterns discarded (duplicates from parallel miners,
-    /// pre-filter lanes that no longer distinguish any candidate).
+    /// Candidate patterns discarded; always 0.
     pub dips_rejected: usize,
     /// Wall-clock time of each DIP round, in round order. Telemetry only:
     /// never part of canonical renderings.
@@ -187,7 +179,7 @@ impl AttackOutcome {
     /// iteration count, deterministic counters) and nothing that is not
     /// (`elapsed`, per-round wall clock). Two runs of the same attack at
     /// different worker counts must render identically — this is the
-    /// string the parallel-determinism suite pins.
+    /// string the parallel-determinism suite and the benchmark pin.
     pub fn canonical(&self) -> String {
         match self {
             AttackOutcome::KeyFound { key, iterations, stats, .. } => {
@@ -223,83 +215,60 @@ pub fn sat_attack_with<S: SatBackend>(
     config: &AttackConfig,
 ) -> AttackOutcome {
     let start = Instant::now();
+    if locked.key_inputs.is_empty() {
+        return AttackOutcome::Infeasible { reason: "no key inputs".into() };
+    }
+    if !locked.dffs().is_empty() {
+        return AttackOutcome::Infeasible {
+            reason: "sequential elements without scan access; SAT attack requires full scan".into(),
+        };
+    }
     let mut oracle = CombOracle::new(original);
-    let problem = match AttackProblem::build(locked, &oracle) {
-        Ok(p) => p,
+    let problem = AttackProblem::new(locked);
+    let binding = match OracleBinding::new(&problem, &oracle) {
+        Ok(b) => b,
         Err(outcome) => return outcome,
     };
-    let mut cnf = CnfBuilder::new();
-    let mut solver = S::new();
-    let mut drained = 0usize;
     let cache = config.cache.as_deref();
-    let token = config.stop_token();
+    let token = stop_token(config.cancel.as_ref(), config.timeout);
+
+    // One circuit copy under key literals `keys` and data-input literals
+    // `xs`; returns its gate variables.
+    let encode_copy = |cnf: &mut CnfBuilder, problem: &AttackProblem<'_>, keys: &[i32], xs: &[i32]| {
+        encode_comb_cached(cache, cnf, locked, &problem.assemble(keys, xs), &[], &token)
+    };
 
     // Shared x variables and two key copies.
-    let x_vars: Vec<i32> = problem.data_inputs.iter().map(|_| cnf.fresh_var()).collect();
-    let k1: Vec<i32> = locked.key_inputs.iter().map(|_| cnf.fresh_var()).collect();
-    let k2: Vec<i32> = locked.key_inputs.iter().map(|_| cnf.fresh_var()).collect();
-
-    let vars1 =
-        encode_comb_cached(cache, &mut cnf, locked, &problem.assemble(&k1, &x_vars), &[], &token);
-    let vars2 =
-        encode_comb_cached(cache, &mut cnf, locked, &problem.assemble(&k2, &x_vars), &[], &token);
-
-    // Miter: some output differs — guarded by an activation literal so the
-    // final key-extraction solve can drop it.
-    let mut diffs = Vec::new();
-    for (_, drv) in locked.outputs() {
-        let d = cnf.xor_lit(vars1[drv.index()], vars2[drv.index()]);
-        diffs.push(d);
-    }
-    let any_diff = cnf.or_lit(&diffs);
-    let act = cnf.fresh_var();
-    cnf.add_clause(&[-act, any_diff]);
-
-    sync(&mut cnf, &mut solver, &mut drained);
+    let mut cnf = CnfBuilder::new();
+    let x_vars = fresh_vars(&mut cnf, problem.data_inputs.len());
+    let key_bits = locked.key_inputs.len();
+    let keys = [fresh_vars(&mut cnf, key_bits), fresh_vars(&mut cnf, key_bits)];
+    let mut session = MiterSession::<S>::open(problem, cnf, keys, |cnf, problem, keys| {
+        let vars = encode_copy(cnf, problem, keys, &x_vars);
+        locked.outputs().iter().map(|(_, drv)| vars[drv.index()]).collect()
+    });
 
     let mut iterations = 0usize;
     let mut stats = AttackStats::default();
     let mut round_start = Instant::now();
     loop {
-        solver.set_budget(Budget::cancellable(&token));
-        let res = solver.solve(&[Lit::from_dimacs(act)]);
-        match res {
+        match session.solve_miter(&token) {
             SolveResult::Unknown => {
                 return AttackOutcome::TimedOut { iterations, elapsed: start.elapsed(), stats };
             }
+            // No DIP left: any consistent key is correct.
             SolveResult::Unsat => {
-                // No DIP left: any consistent key is correct.
-                match solver.solve(&[]) {
-                    SolveResult::Sat => {}
-                    // Budget/cancel fired during key extraction: this is
-                    // exhaustion, not a property of the target — reporting
-                    // it as Infeasible would let a retry supervisor treat
-                    // a slow run as a permanent miter defect.
-                    SolveResult::Unknown => {
-                        return AttackOutcome::TimedOut {
-                            iterations,
-                            elapsed: start.elapsed(),
-                            stats,
-                        };
+                return match session
+                    .extract_key("I/O constraints inconsistent (oracle/netlist mismatch?)")
+                {
+                    Extraction::Key(key) => {
+                        AttackOutcome::KeyFound { key, iterations, elapsed: start.elapsed(), stats }
                     }
-                    SolveResult::Unsat => {
-                        return AttackOutcome::Infeasible {
-                            reason: "I/O constraints inconsistent (oracle/netlist mismatch?)".into(),
-                        };
+                    Extraction::TimedOut => {
+                        AttackOutcome::TimedOut { iterations, elapsed: start.elapsed(), stats }
                     }
-                }
-                let key = match model_bits(&solver, &k1) {
-                    Ok(bits) => bits,
-                    Err(missing) => {
-                        return AttackOutcome::Error {
-                            reason: format!(
-                                "SAT model lacks an assignment for key bit {missing}; \
-                                 refusing to fabricate key bits"
-                            ),
-                        }
-                    }
+                    Extraction::Failed(outcome) => outcome,
                 };
-                return AttackOutcome::KeyFound { key, iterations, elapsed: start.elapsed(), stats };
             }
             SolveResult::Sat => {
                 iterations += 1;
@@ -307,7 +276,7 @@ pub fn sat_attack_with<S: SatBackend>(
                     return AttackOutcome::TimedOut { iterations, elapsed: start.elapsed(), stats };
                 }
                 // Extract the DIP and ask the oracle.
-                let dip = match model_bits(&solver, &x_vars) {
+                let dip = match session.model(&x_vars) {
                     Ok(bits) => bits,
                     Err(missing) => {
                         return AttackOutcome::Error {
@@ -318,20 +287,20 @@ pub fn sat_attack_with<S: SatBackend>(
                         }
                     }
                 };
-                let answer = oracle.query_bits(&problem.bind_pattern(&dip));
+                let answer = oracle.query_bits(&binding.bind_pattern(&dip));
                 stats.oracle_queries += 1;
 
                 // Constrain both key copies to produce the oracle's answer
-                // on this DIP, using two fresh circuit copies.
-                for keys in [&k1, &k2] {
-                    encode_dip_constraint(
-                        &mut cnf, cache, &problem, keys, &dip, &answer, &token,
-                    );
-                }
+                // on this DIP, using two fresh circuit copies with their
+                // inputs hardwired to it.
+                session.constrain(|cnf, problem, keys| {
+                    let xin = fixed_vars(cnf, &dip);
+                    let vars = encode_copy(cnf, problem, keys, &xin);
+                    binding.assert_answer(cnf, locked, &vars, &answer);
+                });
                 stats.dips_accepted += 1;
                 stats.round_wall_clock.push(round_start.elapsed());
                 round_start = Instant::now();
-                sync(&mut cnf, &mut solver, &mut drained);
             }
         }
         if token.should_stop().is_some() {
@@ -340,54 +309,25 @@ pub fn sat_attack_with<S: SatBackend>(
     }
 }
 
-/// One locked-input slot: where the literal for that input position comes
-/// from when a circuit copy is assembled.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Slot {
-    /// `key_inputs[i]` — take the i-th literal of the key vector.
-    Key(usize),
-    /// The i-th data (non-key) input — take the i-th x/pattern literal.
-    Data(usize),
-}
-
-/// Everything about a locked/original pair the attack resolves *once*:
-/// input partition, the input→slot table every circuit copy is assembled
-/// through (replacing the old O(inputs × key_bits) `position()` scans per
-/// copy), and the index-based oracle binding (replacing the per-DIP
-/// name-map rescan).
-pub(crate) struct AttackProblem<'n> {
-    pub(crate) locked: &'n Netlist,
-    /// Non-key inputs of `locked`, in input order.
-    pub(crate) data_inputs: Vec<GateId>,
+/// How the SAT attack talks to its oracle, resolved once: which locked
+/// outputs the oracle shares, the oracle-side id of each data input (the
+/// index-based binding that replaces a per-DIP name-map rescan) and where
+/// each locked output sits in the oracle's answer vector.
+struct OracleBinding {
     /// Per locked output: does the oracle share it (by name)?
-    pub(crate) shared_outputs: Vec<bool>,
-    /// Per locked input position: key index or data index.
-    pub(crate) slots: Vec<Slot>,
+    shared_outputs: Vec<bool>,
     /// Per data input: the oracle-side input id, if the oracle knows it
     /// (scan controls and the like exist only on the locked design).
-    pub(crate) oracle_bind: Vec<Option<GateId>>,
+    inputs: Vec<Option<GateId>>,
     /// Per locked output: position in the oracle's answer vector.
-    pub(crate) answer_pos: Vec<Option<usize>>,
+    answer_pos: Vec<Option<usize>>,
 }
 
-impl<'n> AttackProblem<'n> {
-    /// Resolves the problem structure, or the `Infeasible` outcome that
-    /// explains why the attack cannot run.
-    pub(crate) fn build(
-        locked: &'n Netlist,
-        oracle: &CombOracle<'_>,
-    ) -> Result<AttackProblem<'n>, AttackOutcome> {
-        if locked.key_inputs.is_empty() {
-            return Err(AttackOutcome::Infeasible { reason: "no key inputs".into() });
-        }
-        if !locked.dffs().is_empty() {
-            return Err(AttackOutcome::Infeasible {
-                reason: "sequential elements without scan access; SAT attack requires full scan"
-                    .into(),
-            });
-        }
-        let data_inputs: Vec<GateId> =
-            locked.inputs().iter().copied().filter(|g| !locked.key_inputs.contains(g)).collect();
+impl OracleBinding {
+    /// Binds `problem` to `oracle`, or returns the `Infeasible` outcome
+    /// when the two share no output.
+    fn new(problem: &AttackProblem<'_>, oracle: &CombOracle<'_>) -> Result<OracleBinding, AttackOutcome> {
+        let locked = problem.locked;
         // Inputs the oracle does not know (scan controls and the like,
         // present only on the locked design) are still attacker-controlled
         // variables; they are simply not forwarded to the oracle. Likewise
@@ -402,116 +342,33 @@ impl<'n> AttackProblem<'n> {
                 reason: "no outputs shared with the oracle".into(),
             });
         }
-        let key_pos: std::collections::HashMap<GateId, usize> =
-            locked.key_inputs.iter().enumerate().map(|(i, &g)| (g, i)).collect();
-        let data_pos: std::collections::HashMap<GateId, usize> =
-            data_inputs.iter().enumerate().map(|(i, &g)| (g, i)).collect();
-        let slots: Vec<Slot> = locked
-            .inputs()
-            .iter()
-            .map(|g| match key_pos.get(g) {
-                Some(&ki) => Slot::Key(ki),
-                None => Slot::Data(data_pos[g]),
-            })
-            .collect();
-        let oracle_bind: Vec<Option<GateId>> = data_inputs
+        let inputs = problem
+            .data_inputs
             .iter()
             .map(|&g| locked.gate_name(g).and_then(|n| oracle.input_id(n)))
             .collect();
-        let answer_pos: Vec<Option<usize>> =
+        let answer_pos =
             locked.outputs().iter().map(|(name, _)| oracle.output_position(name)).collect();
-        Ok(AttackProblem { locked, data_inputs, shared_outputs, slots, oracle_bind, answer_pos })
-    }
-
-    /// Literal vector for one circuit copy: `keys` for key positions, `xs`
-    /// for data positions, via the precomputed slot table.
-    pub(crate) fn assemble(&self, keys: &[i32], xs: &[i32]) -> Vec<i32> {
-        self.slots
-            .iter()
-            .map(|s| match *s {
-                Slot::Key(ki) => keys[ki],
-                Slot::Data(xi) => xs[xi],
-            })
-            .collect()
+        Ok(OracleBinding { shared_outputs, inputs, answer_pos })
     }
 
     /// The oracle assignment for a concrete data-input pattern.
-    pub(crate) fn bind_pattern(&self, dip: &[bool]) -> Vec<(GateId, bool)> {
-        self.oracle_bind
-            .iter()
-            .zip(dip)
-            .filter_map(|(bind, &v)| bind.map(|g| (g, v)))
-            .collect()
+    fn bind_pattern(&self, dip: &[bool]) -> Vec<(GateId, bool)> {
+        self.inputs.iter().zip(dip).filter_map(|(bind, &v)| bind.map(|g| (g, v))).collect()
     }
 
-    /// The oracle assignment for one 64-lane sweep over the data inputs.
-    pub(crate) fn bind_sweep(&self, words: &[u64]) -> Vec<(GateId, u64)> {
-        self.oracle_bind
-            .iter()
-            .zip(words)
-            .filter_map(|(bind, &w)| bind.map(|g| (g, w)))
-            .collect()
-    }
-}
-
-/// Encodes one I/O constraint copy: a fresh circuit copy with inputs
-/// hardwired to `dip` under key literals `keys`, with every shared output
-/// asserted to the oracle's `answer`.
-pub(crate) fn encode_dip_constraint(
-    cnf: &mut CnfBuilder,
-    cache: Option<&ArtifactStore>,
-    problem: &AttackProblem<'_>,
-    keys: &[i32],
-    dip: &[bool],
-    answer: &[bool],
-    token: &CancelToken,
-) {
-    let xin: Vec<i32> = dip
-        .iter()
-        .map(|&v| {
-            let var = cnf.fresh_var();
-            cnf.assert_lit(if v { var } else { -var });
-            var
-        })
-        .collect();
-    let vars = encode_comb_cached(
-        cache,
-        cnf,
-        problem.locked,
-        &problem.assemble(keys, &xin),
-        &[],
-        token,
-    );
-    for (oi, (_, drv)) in problem.locked.outputs().iter().enumerate() {
-        if !problem.shared_outputs[oi] {
-            continue; // locked-only output: the oracle has no answer
+    /// Asserts every shared output of one circuit copy of `locked`
+    /// (gate variables `vars`) to the oracle's `answer`.
+    fn assert_answer(&self, cnf: &mut CnfBuilder, locked: &Netlist, vars: &[i32], answer: &[bool]) {
+        for (oi, (_, drv)) in locked.outputs().iter().enumerate() {
+            if !self.shared_outputs[oi] {
+                continue; // locked-only output: the oracle has no answer
+            }
+            let Some(ai) = self.answer_pos[oi] else { continue };
+            let lit = vars[drv.index()];
+            cnf.assert_lit(if answer[ai] { lit } else { -lit });
         }
-        let Some(ai) = problem.answer_pos[oi] else { continue };
-        let lit = vars[drv.index()];
-        cnf.assert_lit(if answer[ai] { lit } else { -lit });
     }
-}
-
-/// Reads the model values for `vars` (DIMACS numbering) after a
-/// [`SolveResult::Sat`] answer. `Err(i)` reports the position of the first
-/// variable the model does not assign — the caller must surface that as an
-/// [`AttackOutcome::Error`], never substitute a default: a fabricated key
-/// bit silently turns "attack machinery broke" into a plausible-looking
-/// wrong key.
-pub(crate) fn model_bits<S: SatBackend>(solver: &S, vars: &[i32]) -> Result<Vec<bool>, usize> {
-    vars.iter()
-        .enumerate()
-        .map(|(i, &v)| solver.value(rtlock_sat::Var(v as u32 - 1)).ok_or(i))
-        .collect()
-}
-
-fn sync<S: SatBackend>(cnf: &mut CnfBuilder, solver: &mut S, drained: &mut usize) {
-    solver.reserve_vars(cnf.num_vars());
-    let clauses = cnf.clauses();
-    for c in &clauses[*drained..] {
-        solver.add_dimacs_clause(c);
-    }
-    *drained = clauses.len();
 }
 
 /// Hardwires a key into a locked netlist (no optimization).
@@ -663,17 +520,6 @@ mod tests {
         let out = sat_attack(&locked, &orig, &AttackConfig { max_iterations: 0, timeout: None, ..Default::default() });
         // Either it needed no DIPs (unlikely) or it hits the budget.
         assert!(matches!(out, AttackOutcome::TimedOut { .. } | AttackOutcome::KeyFound { .. }));
-    }
-
-    #[test]
-    fn missing_model_assignment_is_an_error_not_a_zero_bit() {
-        // A variable the solver never saw has no model value; the old
-        // `unwrap_or(false)` fabricated a zero key bit here.
-        let mut s = Solver::new();
-        s.add_dimacs_clause(&[1]);
-        assert_eq!(s.solve(&[]), SolveResult::Sat);
-        assert_eq!(model_bits(&s, &[1]), Ok(vec![true]));
-        assert_eq!(model_bits(&s, &[1, 7]), Err(1), "var 7 is unassigned");
     }
 
     #[test]

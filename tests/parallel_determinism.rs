@@ -149,63 +149,6 @@ fn comb_pair(key: &[bool]) -> (Netlist, Netlist) {
     (locked, orig)
 }
 
-// ---- parallel DIP pipeline ---------------------------------------------
-
-/// The pipeline's contract: executor worker count and cache mode are
-/// scheduling/transport concerns, never semantic ones. The canonical
-/// outcome — key bits, iteration count, deterministic counters — must be
-/// byte-identical at workers ∈ {1, 2, 8} × cache ∈ {off, warm}.
-#[test]
-fn dip_pipeline_outcomes_are_identical_across_workers_and_cache_modes() {
-    use rtlock_repro::attacks::{sat_attack_parallel_with, DipConfig};
-    use rtlock_repro::sat::Solver;
-
-    let _guard = serial();
-    let (locked, orig) = comb_pair(&[true, false]);
-    let dip = DipConfig::default();
-    let reference = {
-        let exec = Executor::new(1);
-        sat_attack_parallel_with::<Solver>(&locked, &orig, &AttackConfig::default(), &dip, &exec)
-    };
-    let key = reference.key().expect("pipeline breaks the two-key circuit").to_vec();
-    assert_eq!(key_accuracy(&locked, &orig, &key, 64, 7), 1.0);
-    let reference = reference.canonical();
-
-    let warm = Arc::new(ArtifactStore::in_memory());
-    for workers in [1, 2, 8] {
-        let exec = Executor::new(workers);
-        for cache in [None, Some(warm.clone())] {
-            let label = if cache.is_some() { "warm" } else { "off" };
-            let cfg = AttackConfig { cache: cache.clone(), ..AttackConfig::default() };
-            let out = sat_attack_parallel_with::<Solver>(&locked, &orig, &cfg, &dip, &exec);
-            assert_eq!(out.canonical(), reference, "workers={workers}, cache={label}");
-        }
-    }
-    assert!(warm.stats().hits > 0, "warm passes must serve cached templates");
-}
-
-/// The portfolio's determinism guarantee holds with the DIP pipeline
-/// member enabled: parallel and sequential coordinators agree
-/// byte-for-byte at every thread count.
-#[test]
-fn portfolio_with_dip_pipeline_is_identical_across_thread_counts() {
-    use rtlock_repro::attacks::DipConfig;
-
-    let _guard = serial();
-    let (locked, orig) = comb_pair(&[false, true]);
-    let target = PortfolioTarget { comb: Some((&locked, &orig)), seq: None };
-    let cfg = PortfolioConfig { dip: Some(DipConfig::default()), ..quick_portfolio() };
-    let reference = portfolio_attack_sequential(&target, &cfg, &CancelToken::unlimited());
-    assert!(reference.broken, "pipeline member must break the target");
-    let key = reference.key.as_deref().expect("winner recovered a key");
-    assert_eq!(key_accuracy(&locked, &orig, key, 64, 7), 1.0);
-    for threads in [1, 2, 8] {
-        let exec = Executor::new(threads);
-        let verdict = portfolio_attack(&target, &cfg, &exec, &CancelToken::unlimited());
-        assert_eq!(verdict.canonical(), reference.canonical(), "threads={threads}");
-    }
-}
-
 #[test]
 fn portfolio_verdicts_are_identical_across_thread_counts() {
     let _guard = serial();
