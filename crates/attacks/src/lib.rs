@@ -59,8 +59,8 @@ pub use bypass::{bypass_estimate, BypassEstimate};
 pub use ml::{scope_attack, MlReport, SweepModel};
 pub use oracle::{CombOracle, SeqOracle};
 pub use portfolio::{
-    portfolio_attack, portfolio_attack_resumable, portfolio_attack_sequential, MemberOutcome,
-    PortfolioConfig, PortfolioMember, PortfolioTarget, PortfolioVerdict, ReplayedMember,
+    portfolio_attack, MemberOutcome, PortfolioConfig, PortfolioMember, PortfolioTarget,
+    PortfolioVerdict,
 };
 pub use prune::{dataflow_removal_candidates, sat_attack_pruned, PrunedAttack, RemovalJustification};
 pub use removal::{removal_attack, RemovalOutcome};

@@ -1,31 +1,33 @@
 //! Deterministic portfolio attack: race the whole attack suite, keep the
-//! sequential verdict.
+//! one-worker verdict.
 //!
 //! A portfolio runs several attacks on the same locked design at once and
 //! takes the first decisive answer — standard practice for SAT-style
 //! workloads where attack runtimes vary by orders of magnitude. The naive
 //! version is nondeterministic: whichever attack wins the wall-clock race
-//! determines the verdict. This module pins the semantics down so the
-//! parallel run is *byte-identical* to a sequential one:
+//! determines the verdict. This module pins the semantics down so a run on
+//! any number of workers is *byte-identical* to a run on one:
 //!
 //! * Members are listed in **priority order** (index 0 strongest claim).
 //! * A member **resolves** when it produces a decisive break — a recovered
 //!   key, a successful point-function removal, or a feasible bypass.
 //!   Timeouts, infeasibility and foiled analyses do not resolve.
 //! * The **winner** is the lowest-index member that resolved. Members at
-//!   higher indices are cancelled as soon as a lower one resolves and are
-//!   always normalized to [`MemberOutcome::Skipped`] in the verdict — even
-//!   if they happened to finish first on this particular schedule.
+//!   higher indices are cancelled as soon as a lower one resolves, are
+//!   never started once a winner is elected, and are always normalized to
+//!   [`MemberOutcome::Skipped`] in the verdict — even if they happened to
+//!   finish first on this particular schedule.
 //! * Members at indices *below* the winner are never cancelled by the
 //!   coordinator; their natural outcomes appear in the verdict.
 //!
 //! Under those rules the verdict depends only on the member outcomes, not
-//! on scheduling, so [`portfolio_attack`] (any thread count) and
-//! [`portfolio_attack_sequential`] agree bit-for-bit on
-//! [`PortfolioVerdict::canonical`] — which is what the determinism suite
-//! asserts. Wall-clock fields (`elapsed`) are excluded from the canonical
-//! form; callers that want determinism must also budget members by
-//! iteration counts, not timeouts.
+//! on scheduling, so [`portfolio_attack`] agrees bit-for-bit on
+//! [`PortfolioVerdict::canonical`] at every executor size. One worker is
+//! the reference: it runs members in priority order and stops at the
+//! first resolution, which is what the determinism suite diffs against.
+//! Wall-clock fields (`elapsed`) are excluded from the canonical form;
+//! callers that want determinism must also budget members by iteration
+//! counts, not timeouts.
 
 use crate::bmc_attack::{bmc_attack, BmcConfig};
 use crate::bypass::{bypass_estimate, BypassEstimate};
@@ -138,60 +140,6 @@ pub enum MemberOutcome {
     Skipped,
     /// The member panicked inside the worker pool.
     Crashed(String),
-    /// The member's outcome was replayed from a campaign journal instead
-    /// of re-executed ([`portfolio_attack_resumable`]). Carries the
-    /// original outcome's exact canonical rendering plus the two facts
-    /// the verdict assembly needs, so a resumed run is byte-identical to
-    /// the uninterrupted one.
-    Replayed(ReplayedMember),
-}
-
-/// A journal-recovered member outcome (see [`MemberOutcome::Replayed`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayedMember {
-    /// The original outcome's [`MemberOutcome::canonical`] text, printed
-    /// verbatim in the resumed verdict.
-    pub rendered: String,
-    /// Whether the original outcome resolved (decisive break).
-    pub resolved: bool,
-    /// The recovered key, when the original outcome produced one.
-    pub key: Option<Vec<bool>>,
-}
-
-impl MemberOutcome {
-    /// The canonical text rendering used inside
-    /// [`PortfolioVerdict::canonical`] — wall-clock free, stable, and the
-    /// exact string a journal must store to replay this outcome.
-    pub fn canonical(&self) -> String {
-        canonical_outcome(self)
-    }
-
-    /// Whether this outcome is a decisive break (see the module docs).
-    pub fn resolves(&self) -> bool {
-        resolves(self)
-    }
-
-    /// The recovered key, when this outcome carries one.
-    pub fn recovered_key(&self) -> Option<Vec<bool>> {
-        outcome_key(self)
-    }
-
-    /// Retry classification, mirroring [`AttackOutcome::error_class`]:
-    /// a crashed member is `Transient` (the panic is captured, a retry
-    /// may succeed), attack outcomes delegate to their own
-    /// classification, and everything else — analyses that ran to
-    /// completion, unavailable surfaces, skips, replays — is definitive.
-    pub fn error_class(&self) -> Option<rtlock_store::ErrorClass> {
-        match self {
-            MemberOutcome::Attack(o) => o.error_class(),
-            MemberOutcome::Crashed(_) => Some(rtlock_store::ErrorClass::Transient),
-            MemberOutcome::Removal(_)
-            | MemberOutcome::Bypass(_)
-            | MemberOutcome::Unavailable(_)
-            | MemberOutcome::Skipped
-            | MemberOutcome::Replayed(_) => None,
-        }
-    }
 }
 
 /// The combined, scheduling-independent result of a portfolio run.
@@ -259,9 +207,6 @@ fn canonical_outcome(o: &MemberOutcome) -> String {
         MemberOutcome::Unavailable(reason) => format!("unavailable({reason})"),
         MemberOutcome::Skipped => "skipped".into(),
         MemberOutcome::Crashed(msg) => format!("crashed({msg})"),
-        // Verbatim: the stored text IS the original rendering, which is
-        // what makes a resumed verdict byte-identical.
-        MemberOutcome::Replayed(r) => r.rendered.clone(),
     }
 }
 
@@ -271,7 +216,6 @@ fn resolves(o: &MemberOutcome) -> bool {
         MemberOutcome::Attack(AttackOutcome::KeyFound { .. }) => true,
         MemberOutcome::Removal(RemovalOutcome::Recovered { .. }) => true,
         MemberOutcome::Bypass(est) => est.feasible,
-        MemberOutcome::Replayed(r) => r.resolved,
         _ => false,
     }
 }
@@ -279,7 +223,6 @@ fn resolves(o: &MemberOutcome) -> bool {
 fn outcome_key(o: &MemberOutcome) -> Option<Vec<bool>> {
     match o {
         MemberOutcome::Attack(AttackOutcome::KeyFound { key, .. }) => Some(key.clone()),
-        MemberOutcome::Replayed(r) => r.key.clone(),
         _ => None,
     }
 }
@@ -360,9 +303,11 @@ fn assemble_verdict(
 }
 
 /// Races every member of `config.members` on `executor`, cancelling lower
-/// priority members once a higher one resolves. The verdict is identical
-/// to [`portfolio_attack_sequential`] for any executor size (see the
-/// module docs for the exact guarantee).
+/// priority members once a higher one resolves and never starting a
+/// member ranked after an elected winner. The verdict is identical for
+/// any executor size (see the module docs for the exact guarantee); on
+/// one worker the members run in priority order and the run stops at the
+/// first resolution.
 pub fn portfolio_attack(
     target: &PortfolioTarget<'_>,
     config: &PortfolioConfig,
@@ -380,6 +325,10 @@ pub fn portfolio_attack(
         for (i, &member) in config.members.iter().enumerate() {
             let (children, slots, best) = (&children, &slots, &best);
             scope.spawn(move |_| {
+                if best.lock().expect("portfolio winner lock").is_some_and(|w| w < i) {
+                    *slots[i].lock().expect("portfolio slot lock") = Some(MemberOutcome::Skipped);
+                    return;
+                }
                 let outcome = run_member(member, target, config, &children[i]);
                 if resolves(&outcome) {
                     let mut b = best.lock().expect("portfolio winner lock");
@@ -409,103 +358,6 @@ pub fn portfolio_attack(
         })
         .collect();
     let winner = best.into_inner().expect("portfolio winner lock");
-    assemble_verdict(&config.members, outcomes, winner)
-}
-
-/// Resumes a portfolio run from a campaign journal: members whose
-/// outcomes were journaled before the crash are replayed verbatim
-/// (`prior[i] = Some(..)`, aligned with `config.members`), only the rest
-/// re-execute. The verdict's [`PortfolioVerdict::canonical`] form is
-/// byte-identical to an uninterrupted [`portfolio_attack`] run — replayed
-/// members print their stored rendering, re-executed members their fresh
-/// (deterministic) one, and the winner/skip normalization is the same.
-///
-/// # Panics
-///
-/// Panics when `prior.len()` differs from `config.members.len()`.
-pub fn portfolio_attack_resumable(
-    target: &PortfolioTarget<'_>,
-    config: &PortfolioConfig,
-    executor: &Executor,
-    token: &CancelToken,
-    prior: &[Option<ReplayedMember>],
-) -> PortfolioVerdict {
-    assert_eq!(prior.len(), config.members.len(), "prior outcomes misaligned with members");
-    let n = config.members.len();
-    let children: Vec<CancelToken> = (0..n).map(|_| token.child()).collect();
-    let slots: Vec<Mutex<Option<MemberOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // A replayed resolution seeds the race: members below it still run to
-    // their natural outcomes (they were never cancelled in the original
-    // schedule either), members above it are cancelled up front.
-    let pre_winner =
-        prior.iter().position(|p| p.as_ref().is_some_and(|r| r.resolved));
-    if let Some(w) = pre_winner {
-        for t in &children[w + 1..] {
-            t.cancel();
-        }
-    }
-    let best: Mutex<Option<usize>> = Mutex::new(pre_winner);
-
-    let ((), panics) = executor.scope(token, |scope| {
-        for (i, &member) in config.members.iter().enumerate() {
-            if let Some(replay) = &prior[i] {
-                *slots[i].lock().expect("portfolio slot lock") =
-                    Some(MemberOutcome::Replayed(replay.clone()));
-                continue;
-            }
-            let (children, slots, best) = (&children, &slots, &best);
-            scope.spawn(move |_| {
-                let outcome = run_member(member, target, config, &children[i]);
-                if resolves(&outcome) {
-                    let mut b = best.lock().expect("portfolio winner lock");
-                    if b.is_none_or(|w| i < w) {
-                        *b = Some(i);
-                        for t in &children[i + 1..] {
-                            t.cancel();
-                        }
-                    }
-                }
-                *slots[i].lock().expect("portfolio slot lock") = Some(outcome);
-            });
-        }
-    });
-
-    let mut panic_messages = panics.into_iter().map(|p| p.message);
-    let outcomes: Vec<MemberOutcome> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().expect("portfolio slot lock").unwrap_or_else(|| {
-                MemberOutcome::Crashed(
-                    panic_messages.next().unwrap_or_else(|| "member did not report".into()),
-                )
-            })
-        })
-        .collect();
-    let winner = best.into_inner().expect("portfolio winner lock");
-    assemble_verdict(&config.members, outcomes, winner)
-}
-
-/// The sequential twin of [`portfolio_attack`]: runs members in priority
-/// order and stops at the first resolution. Canonically identical to the
-/// parallel run — the determinism suite diffs the two.
-pub fn portfolio_attack_sequential(
-    target: &PortfolioTarget<'_>,
-    config: &PortfolioConfig,
-    token: &CancelToken,
-) -> PortfolioVerdict {
-    let mut outcomes = Vec::with_capacity(config.members.len());
-    let mut winner = None;
-    for (i, &member) in config.members.iter().enumerate() {
-        if winner.is_some() {
-            outcomes.push(MemberOutcome::Skipped);
-            continue;
-        }
-        let outcome = run_member(member, target, config, &token.child());
-        if resolves(&outcome) {
-            winner = Some(i);
-        }
-        outcomes.push(outcome);
-    }
     assemble_verdict(&config.members, outcomes, winner)
 }
 
@@ -567,7 +419,7 @@ mod tests {
         let target = PortfolioTarget { comb: Some((&locked, &orig)), seq: None };
         let cfg = quick_config();
         let verdict =
-            portfolio_attack_sequential(&target, &cfg, &CancelToken::unlimited());
+            portfolio_attack(&target, &cfg, &Executor::new(1), &CancelToken::unlimited());
         assert!(verdict.broken);
         assert_eq!(verdict.winner, Some(0));
         // The two-XOR locking admits complement key pairs, so check the
@@ -581,13 +433,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_at_every_thread_count() {
+    fn every_thread_count_matches_one_worker() {
         let (locked, orig) = comb_pair(&[false, true]);
         let target = PortfolioTarget { comb: Some((&locked, &orig)), seq: None };
         let cfg = quick_config();
         let reference =
-            portfolio_attack_sequential(&target, &cfg, &CancelToken::unlimited()).canonical();
-        for threads in [1, 2, 8] {
+            portfolio_attack(&target, &cfg, &Executor::new(1), &CancelToken::unlimited())
+                .canonical();
+        for threads in [2, 8] {
             let exec = Executor::new(threads);
             let verdict = portfolio_attack(&target, &cfg, &exec, &CancelToken::unlimited());
             assert_eq!(verdict.canonical(), reference, "threads={threads}");
@@ -598,7 +451,8 @@ mod tests {
     fn no_surface_means_nothing_resolves() {
         let target = PortfolioTarget { comb: None, seq: None };
         let cfg = quick_config();
-        let verdict = portfolio_attack_sequential(&target, &cfg, &CancelToken::unlimited());
+        let verdict =
+            portfolio_attack(&target, &cfg, &Executor::new(1), &CancelToken::unlimited());
         assert!(!verdict.broken);
         assert_eq!(verdict.winner, None);
         assert!(verdict
@@ -626,61 +480,25 @@ mod tests {
     }
 
     #[test]
-    fn resumed_portfolio_is_byte_identical_to_uninterrupted() {
+    fn one_worker_never_starts_a_member_ranked_after_the_winner() {
+        // Both members would consult the shared store, so any lookup by the
+        // second SAT member shows up in the counters.
         let (locked, orig) = comb_pair(&[true, false]);
         let target = PortfolioTarget { comb: Some((&locked, &orig)), seq: None };
-        let cfg = quick_config();
-        let exec = Executor::new(4);
-        let reference = portfolio_attack(&target, &cfg, &exec, &CancelToken::unlimited());
-
-        // Replay each completed prefix of the reference run — as a crash
-        // after k journaled members would leave it — and resume the rest.
-        for completed in 0..=cfg.members.len() {
-            let prior: Vec<Option<ReplayedMember>> = reference
-                .outcomes
-                .iter()
-                .enumerate()
-                .map(|(i, (_, o))| {
-                    // Skipped members were never journaled as finished.
-                    if i < completed && !matches!(o, MemberOutcome::Skipped) {
-                        Some(ReplayedMember {
-                            rendered: o.canonical(),
-                            resolved: o.resolves(),
-                            key: o.recovered_key(),
-                        })
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            let resumed =
-                portfolio_attack_resumable(&target, &cfg, &exec, &CancelToken::unlimited(), &prior);
-            assert_eq!(
-                resumed.canonical(),
-                reference.canonical(),
-                "resume after {completed} journaled members"
-            );
-            assert_eq!(resumed.key, reference.key);
-        }
-    }
-
-    #[test]
-    fn outcome_classification_is_consistent_across_members() {
-        use rtlock_store::ErrorClass;
-        let timed = MemberOutcome::Attack(AttackOutcome::TimedOut {
-            iterations: 3,
-            elapsed: std::time::Duration::ZERO,
-            stats: crate::sat_attack::AttackStats::default(),
-        });
-        assert_eq!(timed.error_class(), Some(ErrorClass::Transient));
-        let err = MemberOutcome::Attack(AttackOutcome::Error { reason: "model hole".into() });
-        assert_eq!(err.error_class(), Some(ErrorClass::Permanent), "never retried");
-        let crashed = MemberOutcome::Crashed("worker panic".into());
-        assert_eq!(crashed.error_class(), Some(ErrorClass::Transient));
-        let infeasible =
-            MemberOutcome::Attack(AttackOutcome::Infeasible { reason: "no key inputs".into() });
-        assert_eq!(infeasible.error_class(), None, "definitive verdict about the target");
-        assert_eq!(MemberOutcome::Skipped.error_class(), None);
+        let run = |members: Vec<PortfolioMember>| {
+            let store = Arc::new(ArtifactStore::in_memory());
+            let cfg = PortfolioConfig { members, cache: Some(store.clone()), ..quick_config() };
+            let verdict =
+                portfolio_attack(&target, &cfg, &Executor::new(1), &CancelToken::unlimited());
+            (verdict, store.stats())
+        };
+        let (single, single_stats) = run(vec![PortfolioMember::Sat]);
+        let (double, double_stats) = run(vec![PortfolioMember::Sat, PortfolioMember::Sat]);
+        assert_eq!(single.winner, Some(0));
+        assert_eq!(double.winner, Some(0));
+        assert_eq!(double.outcomes[1].1, MemberOutcome::Skipped);
+        assert!(single_stats.misses > 0, "the winner must consult the store");
+        assert_eq!(double_stats, single_stats, "the skipped member must not run");
     }
 
     #[test]
@@ -688,7 +506,8 @@ mod tests {
         let (locked, orig) = comb_pair(&[true, false]);
         let target = PortfolioTarget { comb: Some((&locked, &orig)), seq: None };
         let cfg = quick_config();
-        let verdict = portfolio_attack_sequential(&target, &cfg, &CancelToken::unlimited());
+        let verdict =
+            portfolio_attack(&target, &cfg, &Executor::new(1), &CancelToken::unlimited());
         let canon = verdict.canonical();
         assert!(!canon.contains("elapsed"), "{canon}");
         assert!(canon.starts_with("winner: "), "{canon}");

@@ -2,13 +2,15 @@
 //! of designs, with a deterministic merged report.
 //!
 //! [`lock_catalog_parallel`] fans the per-design pipelines out over an
-//! [`Executor`]; [`lock_catalog_sequential`] is its single-threaded twin.
-//! Both produce a [`CatalogReport`] whose entries sit in **input order**
-//! regardless of which worker finished first, and whose
-//! [`canonical`](CatalogReport::canonical) rendering excludes every
-//! wall-clock quantity — so the two functions (at any thread count) are
-//! byte-identical whenever the run is budgeted by iterations rather than
-//! time. The determinism suite diffs exactly that.
+//! [`Executor`] and [`lock_catalog_resumable`] adds journal checkpoints;
+//! both are thin calls into one supervised engine. The [`CatalogReport`]
+//! keeps its entries in **input order** regardless of which worker
+//! finished first, and its [`canonical`](CatalogReport::canonical)
+//! rendering excludes every wall-clock quantity — so the report is
+//! byte-identical at every worker count, with one worker as the
+//! reference, whenever the run is budgeted by iterations rather than
+//! time. The determinism suite diffs exactly that. Each design's attack
+//! portfolio runs on a one-worker executor inside its catalog worker.
 //!
 //! Cancellation composes hierarchically: the run-wide token passed in is
 //! the parent of each worker's token (via the executor) and of each
@@ -20,14 +22,11 @@ use crate::governor::RunBudget;
 use crate::journal::{self, CampaignJournal};
 use rtlock_artifacts::ArtifactStore;
 use rtlock_attacks::portfolio::{
-    portfolio_attack_sequential, PortfolioConfig, PortfolioTarget, PortfolioVerdict,
+    portfolio_attack, PortfolioConfig, PortfolioTarget, PortfolioVerdict,
 };
-use rtlock_exec::{
-    panic_message, Executor, RetryRecord, SupervisedEvent, TaskError, TaskResult,
-};
+use rtlock_exec::{Executor, RetryRecord, SupervisedEvent, TaskError, TaskResult};
 use rtlock_store::{ErrorClass, Event, RetryPolicy};
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 use rtlock_governor::CancelToken;
@@ -235,7 +234,9 @@ fn run_design(
             if portfolio.cache.is_none() {
                 portfolio.cache = job.cache.clone();
             }
-            Some(portfolio_attack_sequential(&target, &portfolio, &token.child()))
+            // One worker: the catalog already fans out across designs, so
+            // the members run in priority order on this design's worker.
+            Some(portfolio_attack(&target, &portfolio, &Executor::new(1), &token.child()))
         }
         None => None,
     };
@@ -363,7 +364,7 @@ fn replayed_designs(events: &[Event], entries: &[CatalogEntry]) -> Vec<Option<Re
     prior
 }
 
-/// The shared engine behind the parallel runners: runs every entry whose
+/// The shared engine behind both catalog runners: runs every entry whose
 /// `prior` slot is empty under the supervised map, reporting live events
 /// (with the *design* index, not the compacted work-list index) to
 /// `observe`, then merges replayed and fresh statuses in entry order.
@@ -414,45 +415,6 @@ where
             (entry.name.clone(), status)
         })
         .collect();
-    CatalogReport { designs, retries }
-}
-
-/// The sequential twin of [`lock_catalog_parallel`]: same pipeline, same
-/// retry semantics, same merge order, one design at a time on the calling
-/// thread.
-pub fn lock_catalog_sequential(job: &CatalogJob, token: &CancelToken) -> CatalogReport {
-    let max_attempts = job.retry.max_attempts.max(1);
-    let mut retries = Vec::new();
-    let mut designs = Vec::with_capacity(job.entries.len());
-    for (i, entry) in job.entries.iter().enumerate() {
-        let mut retry_no = 0u32;
-        let mut attempt = 1u32;
-        let result = loop {
-            let out: TaskResult<Result<DesignSummary, LockError>> =
-                match token.should_stop() {
-                    Some(reason) => Err(TaskError::Cancelled(reason)),
-                    None => catch_unwind(AssertUnwindSafe(|| run_design(entry, job, token)))
-                        .map_err(|p| TaskError::Panicked(panic_message(&*p))),
-                };
-            let Some((class, detail)) = classify_design(&out) else { break out };
-            let will_retry = class == ErrorClass::Transient
-                && attempt < max_attempts
-                && token.should_stop().is_none();
-            let backoff = if will_retry {
-                retry_no += 1;
-                Some(job.retry.backoff(retry_no))
-            } else {
-                None
-            };
-            retries.push(RetryRecord { index: i, attempt, class, detail, backoff });
-            match backoff {
-                Some(d) => std::thread::sleep(d),
-                None => break out,
-            }
-            attempt += 1;
-        };
-        designs.push((entry.name.clone(), status_of(result)));
-    }
     CatalogReport { designs, retries }
 }
 
@@ -516,10 +478,11 @@ endmodule"#,
     }
 
     #[test]
-    fn parallel_canonical_matches_sequential() {
+    fn every_thread_count_matches_one_worker() {
         let job = tiny_job(3);
-        let reference = lock_catalog_sequential(&job, &CancelToken::unlimited()).canonical();
-        for threads in [1, 2, 4] {
+        let reference =
+            lock_catalog_parallel(&job, &Executor::new(1), &CancelToken::unlimited()).canonical();
+        for threads in [2, 4] {
             let report =
                 lock_catalog_parallel(&job, &Executor::new(threads), &CancelToken::unlimited());
             assert_eq!(report.canonical(), reference, "threads={threads}");
@@ -532,8 +495,8 @@ endmodule"#,
         let token = CancelToken::unlimited();
         token.cancel();
         let par = lock_catalog_parallel(&job, &Executor::new(2), &token);
-        let seq = lock_catalog_sequential(&job, &token);
-        assert_eq!(par.canonical(), seq.canonical());
+        let one = lock_catalog_parallel(&job, &Executor::new(1), &token);
+        assert_eq!(par.canonical(), one.canonical());
         assert!(par
             .designs
             .iter()

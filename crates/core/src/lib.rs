@@ -67,8 +67,8 @@ pub mod transforms;
 pub mod verify;
 
 pub use catalog::{
-    lock_catalog_parallel, lock_catalog_resumable, lock_catalog_sequential, CatalogEntry,
-    CatalogJob, CatalogReport, DesignStatus, DesignSummary, ReplayedDesign,
+    lock_catalog_parallel, lock_catalog_resumable, CatalogEntry, CatalogJob, CatalogReport,
+    DesignStatus, DesignSummary, ReplayedDesign,
 };
 pub use journal::CampaignJournal;
 pub use flow::{

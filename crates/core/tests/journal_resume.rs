@@ -14,8 +14,8 @@ use rtlock::database::DatabaseConfig;
 use rtlock::journal::{self, CampaignJournal};
 use rtlock::select::SelectionSpec;
 use rtlock::{
-    lock_catalog_parallel, lock_catalog_resumable, lock_catalog_sequential, CatalogEntry,
-    CatalogJob, DesignStatus, Fault, FaultPlan, LockError, RtlLockConfig, RunBudget,
+    lock_catalog_parallel, lock_catalog_resumable, CatalogEntry, CatalogJob, DesignStatus, Fault,
+    FaultPlan, LockError, RtlLockConfig, RunBudget,
 };
 use rtlock_exec::Executor;
 use rtlock_governor::CancelToken;
@@ -225,8 +225,9 @@ fn transient_faults_retry_to_success_with_deterministic_backoff() {
         assert_eq!(record.backoff, Some(policy.backoff((i + 1) as u32)));
     }
 
-    // Sequential twin parity: same faults, same retries, same report.
-    let seq_budget = RunBudget {
+    // Worker-count parity: same faults on two workers, same retries,
+    // same report.
+    let two_budget = RunBudget {
         fault_plan: FaultPlan::none().inject_transient(
             rtlock::Stage::Verify,
             Fault::Panic,
@@ -234,10 +235,10 @@ fn transient_faults_retry_to_success_with_deterministic_backoff() {
         ),
         ..RunBudget::unlimited()
     };
-    let seq_job = tiny_job(1, seq_budget, policy.clone());
-    let seq = lock_catalog_sequential(&seq_job, &CancelToken::unlimited());
-    assert_eq!(seq.canonical(), report.canonical());
-    assert_eq!(seq.retries, report.retries);
+    let two_job = tiny_job(1, two_budget, policy.clone());
+    let two = lock_catalog_parallel(&two_job, &Executor::new(2), &CancelToken::unlimited());
+    assert_eq!(two.canonical(), report.canonical());
+    assert_eq!(two.retries, report.retries);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 

@@ -22,6 +22,30 @@
 //! bounded: the `*_bounded` entry points poll a
 //! [`CancelToken`](rtlock_governor::CancelToken) and return `None` when it
 //! fires, never a partial result.
+//!
+//! ```
+//! use rtlock_dataflow::analyze_netlist;
+//! use rtlock_netlist::{GateKind, Netlist};
+//!
+//! // y = (a ^ k0) & b; key bit k1 drives a gate no output observes.
+//! let mut n = Netlist::new("toy");
+//! let a = n.add_input("a");
+//! let b = n.add_input("b");
+//! let k0 = n.add_input("keyinput0");
+//! n.mark_key_input(k0);
+//! let k1 = n.add_input("keyinput1");
+//! n.mark_key_input(k1);
+//! let x = n.add_gate(GateKind::Xor, vec![a, k0]);
+//! let y = n.add_gate(GateKind::And, vec![x, b]);
+//! let dead = n.add_gate(GateKind::Xor, vec![b, k1]);
+//! n.add_output("y", y);
+//!
+//! let facts = analyze_netlist(&n);
+//! assert!(facts.is_tainted_by(y, 0));
+//! assert!(!facts.is_tainted_by(y, 1));
+//! assert!(facts.is_tainted_by(dead, 1));
+//! assert_eq!(facts.prunable_keys, vec![1]);
+//! ```
 
 #![warn(missing_docs)]
 

@@ -495,9 +495,9 @@ fn worker_loop(shared: &Shared<'_>, me: usize) {
     }
 }
 
-/// Best-effort extraction of a panic payload's message (the same shape the
-/// flow governor uses). Public so sequential supervisors outside the pool
-/// can report captured panics with identical wording.
+/// Best-effort extraction of a panic payload's message. Public so the
+/// flow governor reports panics it catches at stage boundaries with the
+/// same wording as panics captured inside the pool.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()

@@ -147,6 +147,11 @@ fn main() -> ExitCode {
     };
     let governor = rtlock::governor::Governor::start(budget);
     let started = std::time::Instant::now();
+    let executor = if args.jobs == 0 {
+        rtlock_exec::Executor::machine_sized()
+    } else {
+        rtlock_exec::Executor::new(args.jobs)
+    };
     let report = if let Some(path) = &args.journal {
         let (mut journal, recovery) = match rtlock::journal::CampaignJournal::open(path) {
             Ok(opened) => opened,
@@ -166,11 +171,6 @@ fn main() -> ExitCode {
         if let Some(n) = args.crash_after {
             journal.set_crash_after(n);
         }
-        let executor = if args.jobs == 0 {
-            rtlock_exec::Executor::machine_sized()
-        } else {
-            rtlock_exec::Executor::new(args.jobs.max(1))
-        };
         rtlock_fuzz::run_fuzz_resumable(
             &args.cfg,
             &executor,
@@ -178,15 +178,8 @@ fn main() -> ExitCode {
             &mut journal,
             &recovery.events,
         )
-    } else if args.jobs == 1 {
-        rtlock_fuzz::run_fuzz(&args.cfg, governor.run_token())
     } else {
-        let executor = if args.jobs == 0 {
-            rtlock_exec::Executor::machine_sized()
-        } else {
-            rtlock_exec::Executor::new(args.jobs)
-        };
-        rtlock_fuzz::run_fuzz_parallel(&args.cfg, &executor, governor.run_token())
+        rtlock_fuzz::run_fuzz(&args.cfg, &executor, governor.run_token())
     };
     let elapsed = started.elapsed();
 

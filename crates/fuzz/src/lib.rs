@@ -11,11 +11,12 @@
 //! persists shrunk divergences as regression inputs.
 //!
 //! ```
+//! use rtlock_exec::Executor;
 //! use rtlock_fuzz::{run_fuzz, FuzzConfig};
 //! use rtlock_governor::CancelToken;
 //!
 //! let cfg = FuzzConfig { seed: 7, iters: 3, ..FuzzConfig::default() };
-//! let report = run_fuzz(&cfg, &CancelToken::unlimited());
+//! let report = run_fuzz(&cfg, &Executor::new(1), &CancelToken::unlimited());
 //! assert_eq!(report.executed, 3);
 //! assert!(report.divergences.is_empty());
 //! ```
@@ -30,7 +31,10 @@ pub use gen::{generate, render, GenConfig, GenModule};
 pub use oracle::{check_module, check_source, Layer, OracleConfig, Verdict};
 pub use shrink::shrink;
 
+use rtlock_exec::{Executor, TaskError};
 use rtlock_governor::CancelToken;
+use rtlock_store::Event;
+use std::ops::Range;
 
 /// Configuration for a fuzzing campaign.
 #[derive(Debug, Clone)]
@@ -91,16 +95,11 @@ pub struct FuzzReport {
     pub cancelled: bool,
 }
 
-/// Runs a fuzzing campaign. Checks `cancel` between iterations so a
-/// governor wall-clock budget bounds the campaign.
-pub fn run_fuzz(cfg: &FuzzConfig, cancel: &CancelToken) -> FuzzReport {
-    run_range(cfg, 0..cfg.iters, cancel)
-}
-
-/// Runs the iterations in `range` of the campaign described by `cfg`.
-/// Campaign state is per-iteration, so disjoint ranges compose: their
-/// reports merge (in range order) into exactly the single-range report.
-fn run_range(cfg: &FuzzConfig, range: std::ops::Range<u64>, cancel: &CancelToken) -> FuzzReport {
+/// Runs the iterations in `range` of the campaign described by `cfg`,
+/// without persisting anything. Campaign state is per-iteration, so
+/// disjoint ranges compose: their reports merge (in range order) into
+/// exactly the single-range report.
+fn run_range(cfg: &FuzzConfig, range: Range<u64>, cancel: &CancelToken) -> FuzzReport {
     let mut report = FuzzReport::default();
     for i in range {
         if cancel.should_stop().is_some() {
@@ -115,17 +114,13 @@ fn run_range(cfg: &FuzzConfig, range: std::ops::Range<u64>, cancel: &CancelToken
             Verdict::Diverged { layer, detail } => {
                 let shrunk = shrink::shrink(&module, iter_seed, &cfg.oracle, cancel);
                 let shrunk_source = gen::render(&shrunk);
-                let shrunk_lines = shrunk_source.lines().count();
-                let persisted = cfg.corpus_dir.as_ref().and_then(|dir| {
-                    corpus::persist(dir, iter_seed, layer, &shrunk_source).ok()
-                });
                 report.divergences.push(Divergence {
                     seed: iter_seed,
                     layer,
                     detail,
+                    shrunk_lines: shrunk_source.lines().count(),
                     shrunk_source,
-                    shrunk_lines,
-                    persisted,
+                    persisted: None,
                 });
             }
         }
@@ -134,64 +129,32 @@ fn run_range(cfg: &FuzzConfig, range: std::ops::Range<u64>, cancel: &CancelToken
     report
 }
 
-/// Iterations per parallel work unit. Fixed (not derived from the thread
-/// count) so the chunk boundaries — and therefore the merged report — are
-/// a function of the campaign alone.
+/// Iterations per work unit. Fixed (not derived from the thread count)
+/// so the chunk boundaries — and therefore the merged report — are a
+/// function of the campaign alone.
 const CHUNK_ITERS: u64 = 8;
 
-/// Runs a fuzzing campaign across `executor`'s workers.
+/// Runs a fuzzing campaign across `executor`'s workers. Each iteration
+/// checks `cancel` first, so a governor wall-clock budget bounds the
+/// campaign.
 ///
 /// The iteration space is cut into fixed-size contiguous chunks, each
 /// chunk runs independently (iteration `i` derives its own seed stream, so
 /// chunks share no state), and the per-chunk reports are merged in chunk
-/// order. An uncancelled parallel campaign therefore produces a report —
-/// and, via the post-merge persistence pass, a corpus directory —
-/// identical to [`run_fuzz`]'s at any thread count. Under cancellation the
-/// chunks stop independently, so only the *set* of completed iterations
-/// may differ from a sequential run.
+/// order. An uncancelled campaign therefore produces the same report —
+/// and, via the post-merge persistence pass, the same corpus directory —
+/// at every thread count; one worker is the reference. Under cancellation
+/// the chunks stop independently, so only the *set* of completed
+/// iterations may differ between thread counts.
 ///
 /// Corpus persistence happens after the merge, in iteration order; the
-/// file contents depend only on `(layer, seed, shrunk source)`, so the
-/// directory is byte-identical to a sequential campaign's.
-pub fn run_fuzz_parallel(
-    cfg: &FuzzConfig,
-    executor: &rtlock_exec::Executor,
-    cancel: &CancelToken,
-) -> FuzzReport {
-    // Workers fuzz without persisting; the merge pass below writes the
-    // corpus in iteration order on the calling thread.
-    let worker_cfg = FuzzConfig { corpus_dir: None, ..cfg.clone() };
-    let chunks: Vec<std::ops::Range<u64>> = (0..cfg.iters)
-        .step_by(CHUNK_ITERS.max(1) as usize)
-        .map(|lo| lo..(lo + CHUNK_ITERS).min(cfg.iters))
-        .collect();
-    let results = executor.map(cancel, chunks, |_, range, token| {
-        run_range(&worker_cfg, range, token)
-    });
-
-    let mut report = FuzzReport::default();
-    for res in results {
-        match res {
-            Ok(chunk) => {
-                report.executed += chunk.executed;
-                report.incomplete += chunk.incomplete;
-                report.divergences.extend(chunk.divergences);
-                report.cancelled |= chunk.cancelled;
-            }
-            Err(rtlock_exec::TaskError::Cancelled(_)) => report.cancelled = true,
-            // The pool already drained cleanly; surface the worker's panic
-            // to the caller just as a sequential run would have.
-            Err(rtlock_exec::TaskError::Panicked(msg)) => {
-                panic!("fuzz worker panicked: {msg}")
-            }
-        }
-    }
-    if let Some(dir) = &cfg.corpus_dir {
-        for d in &mut report.divergences {
-            d.persisted = corpus::persist(dir, d.seed, d.layer, &d.shrunk_source).ok();
-        }
-    }
-    report
+/// file contents depend only on `(layer, seed, shrunk source)`.
+///
+/// # Panics
+///
+/// Re-raises a worker's panic after the pool has drained.
+pub fn run_fuzz(cfg: &FuzzConfig, executor: &Executor, cancel: &CancelToken) -> FuzzReport {
+    run_chunks(cfg, executor, cancel, &[], |_, _| {})
 }
 
 /// Event kind marking a chunk's divergences durable (one per divergence,
@@ -201,10 +164,10 @@ pub const KIND_FUZZ_DIV: &str = "fuzz_div";
 /// replayed on resume.
 pub const KIND_FUZZ_CHUNK: &str = "fuzz_chunk";
 
-/// [`run_fuzz_parallel`] with checkpoint/resume through a campaign
-/// journal: chunks whose completion marker was recovered are **replayed**
-/// from the journal (verbatim divergence text, no re-execution), the rest
-/// run normally and journal themselves as they finish. A campaign killed
+/// [`run_fuzz`] with checkpoint/resume through a campaign journal: chunks
+/// whose completion marker was recovered are **replayed** from the
+/// journal (verbatim divergence text, no re-execution), the rest run
+/// normally and journal themselves as they finish. A campaign killed
 /// mid-run therefore loses at most its in-flight chunks, and
 /// `interrupt → resume` yields a report — and corpus directory — byte-
 /// identical to an uninterrupted run at any job count.
@@ -212,85 +175,90 @@ pub const KIND_FUZZ_CHUNK: &str = "fuzz_chunk";
 /// Chunks that stopped on cancellation are *not* journaled (they are not
 /// final); journal append errors are reported to stderr and the run
 /// continues unjournaled, exactly like the catalog runner.
+///
+/// # Panics
+///
+/// Re-raises a worker's panic after the pool has drained.
 pub fn run_fuzz_resumable(
     cfg: &FuzzConfig,
-    executor: &rtlock_exec::Executor,
+    executor: &Executor,
     cancel: &CancelToken,
     journal: &mut rtlock::journal::CampaignJournal,
-    recovered: &[rtlock_store::Event],
+    recovered: &[Event],
 ) -> FuzzReport {
-    let chunks: Vec<std::ops::Range<u64>> = (0..cfg.iters)
-        .step_by(CHUNK_ITERS.max(1) as usize)
-        .map(|lo| lo..(lo + CHUNK_ITERS).min(cfg.iters))
-        .collect();
-    let prior = replayed_chunks(cfg, recovered, chunks.len());
-
-    let worker_cfg = FuzzConfig { corpus_dir: None, ..cfg.clone() };
-    let todo: Vec<(usize, std::ops::Range<u64>)> = chunks
-        .iter()
-        .cloned()
-        .enumerate()
-        .filter(|(i, _)| prior[*i].is_none())
-        .collect();
     let sink = std::sync::Mutex::new(journal);
-    let results = executor.map(cancel, todo, |_, (chunk_index, range), token| {
-        let chunk = run_range(&worker_cfg, range.clone(), token);
-        if !chunk.cancelled && token.should_stop().is_none() {
-            let mut journal = sink.lock().expect("journal lock");
-            let append = |j: &mut rtlock::journal::CampaignJournal,
-                          e: &rtlock_store::Event| {
-                if let Err(err) = j.append(e) {
-                    eprintln!("fuzz journal: append failed ({err}); continuing unjournaled");
-                }
-            };
-            for d in &chunk.divergences {
-                let event = rtlock_store::Event::new(KIND_FUZZ_DIV)
+    run_chunks(cfg, executor, cancel, recovered, |chunk_index, chunk| {
+        let mut journal = sink.lock().expect("journal lock");
+        let mut append = |event: Event| {
+            if let Err(err) = journal.append(&event) {
+                eprintln!("fuzz journal: append failed ({err}); continuing unjournaled");
+            }
+        };
+        for d in &chunk.divergences {
+            append(
+                Event::new(KIND_FUZZ_DIV)
                     .field("chunk", chunk_index.to_string())
                     .field("seed", d.seed.to_string())
                     .field("layer", d.layer.name())
                     .field("detail", &d.detail)
-                    .field("source", &d.shrunk_source);
-                append(&mut journal, &event);
-            }
-            let event = rtlock_store::Event::new(KIND_FUZZ_CHUNK)
+                    .field("source", &d.shrunk_source),
+            );
+        }
+        append(
+            Event::new(KIND_FUZZ_CHUNK)
                 .field("index", chunk_index.to_string())
                 .field("executed", chunk.executed.to_string())
-                .field("incomplete", chunk.incomplete.to_string());
-            append(&mut journal, &event);
+                .field("incomplete", chunk.incomplete.to_string()),
+        );
+    })
+}
+
+/// The chunk engine behind both campaign runners: cuts the iteration
+/// space into chunks, replays every chunk whose completion marker is in
+/// `recovered`, runs the rest on `executor` (calling `finished` from the
+/// worker for each chunk that ran to completion uncancelled), merges the
+/// chunk reports in chunk order and persists the corpus after the merge.
+fn run_chunks<F>(
+    cfg: &FuzzConfig,
+    executor: &Executor,
+    cancel: &CancelToken,
+    recovered: &[Event],
+    finished: F,
+) -> FuzzReport
+where
+    F: Fn(usize, &FuzzReport) + Sync,
+{
+    let chunks: Vec<Range<u64>> = (0..cfg.iters)
+        .step_by(CHUNK_ITERS as usize)
+        .map(|lo| lo..(lo + CHUNK_ITERS).min(cfg.iters))
+        .collect();
+    let prior = replayed_chunks(cfg, recovered, chunks.len());
+    let todo: Vec<usize> = (0..chunks.len()).filter(|&i| prior[i].is_none()).collect();
+    let results = executor.map(cancel, todo.clone(), |_, chunk_index, token| {
+        let chunk = run_range(cfg, chunks[chunk_index].clone(), token);
+        if !chunk.cancelled && token.should_stop().is_none() {
+            finished(chunk_index, &chunk);
         }
-        (chunk_index, chunk)
+        chunk
     });
 
-    let mut fresh: std::collections::HashMap<usize, FuzzReport> = std::collections::HashMap::new();
-    let mut cancelled = false;
-    let mut worker_panic: Option<String> = None;
-    for res in results {
-        match res {
-            Ok((chunk_index, chunk)) => {
-                fresh.insert(chunk_index, chunk);
-            }
-            Err(rtlock_exec::TaskError::Cancelled(_)) => cancelled = true,
-            Err(rtlock_exec::TaskError::Panicked(msg)) => worker_panic = Some(msg),
+    let mut fresh: Vec<Option<FuzzReport>> = vec![None; chunks.len()];
+    let mut report = FuzzReport::default();
+    for (chunk_index, result) in todo.into_iter().zip(results) {
+        match result {
+            Ok(chunk) => fresh[chunk_index] = Some(chunk),
+            Err(TaskError::Cancelled(_)) => report.cancelled = true,
+            Err(TaskError::Panicked(msg)) => panic!("fuzz worker panicked: {msg}"),
         }
     }
-    if let Some(msg) = worker_panic {
-        panic!("fuzz worker panicked: {msg}");
-    }
-
-    let mut report = FuzzReport { cancelled, ..FuzzReport::default() };
-    for (i, _) in chunks.iter().enumerate() {
-        let chunk = match &prior[i] {
-            Some(replay) => replay,
-            None => match fresh.get(&i) {
-                Some(chunk) => chunk,
-                None => continue, // cancelled before this chunk ran
-            },
-        };
+    for chunk in prior.into_iter().zip(fresh).filter_map(|(p, f)| p.or(f)) {
         report.executed += chunk.executed;
         report.incomplete += chunk.incomplete;
-        report.divergences.extend(chunk.divergences.iter().cloned());
+        report.divergences.extend(chunk.divergences);
         report.cancelled |= chunk.cancelled;
     }
+    // Workers never persist: the corpus is written here, in iteration
+    // order, on the calling thread.
     if let Some(dir) = &cfg.corpus_dir {
         for d in &mut report.divergences {
             d.persisted = corpus::persist(dir, d.seed, d.layer, &d.shrunk_source).ok();
@@ -306,7 +274,7 @@ pub fn run_fuzz_resumable(
 /// ordered by iteration number.
 fn replayed_chunks(
     cfg: &FuzzConfig,
-    events: &[rtlock_store::Event],
+    events: &[Event],
     chunk_count: usize,
 ) -> Vec<Option<FuzzReport>> {
     use std::collections::HashMap;
@@ -366,14 +334,35 @@ fn replayed_chunks(
         .collect()
 }
 
+/// The optimizer-miscompile flag (`rtlock_synth::opt::inject`) is
+/// process-global while this crate's unit tests run on parallel threads:
+/// tests that arm it hold [`armed`](inject_gate::armed) (exclusive), tests
+/// whose verdicts need it disarmed hold
+/// [`disarmed`](inject_gate::disarmed) (shared).
+#[cfg(test)]
+pub(crate) mod inject_gate {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static FLAG: RwLock<()> = RwLock::new(());
+
+    pub(crate) fn armed() -> RwLockWriteGuard<'static, ()> {
+        FLAG.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn disarmed() -> RwLockReadGuard<'static, ()> {
+        FLAG.read().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn clean_campaign_reports_no_divergences() {
+        let _gate = inject_gate::disarmed();
         let cfg = FuzzConfig { iters: 25, ..FuzzConfig::default() };
-        let report = run_fuzz(&cfg, &CancelToken::unlimited());
+        let report = run_fuzz(&cfg, &Executor::new(1), &CancelToken::unlimited());
         assert_eq!(report.executed, 25);
         assert!(
             report.divergences.is_empty(),
@@ -383,9 +372,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_campaign_matches_sequential() {
+    fn every_thread_count_matches_one_worker() {
+        let _gate = inject_gate::disarmed();
         let cfg = FuzzConfig { iters: 20, ..FuzzConfig::default() };
-        let reference = run_fuzz(&cfg, &CancelToken::unlimited());
+        let reference = run_fuzz(&cfg, &Executor::new(1), &CancelToken::unlimited());
         let digest = |r: &FuzzReport| {
             (
                 r.executed,
@@ -397,12 +387,8 @@ mod tests {
                     .collect::<Vec<_>>(),
             )
         };
-        for threads in [1, 2, 4] {
-            let par = run_fuzz_parallel(
-                &cfg,
-                &rtlock_exec::Executor::new(threads),
-                &CancelToken::unlimited(),
-            );
+        for threads in [2, 4] {
+            let par = run_fuzz(&cfg, &Executor::new(threads), &CancelToken::unlimited());
             assert_eq!(digest(&par), digest(&reference), "threads={threads}");
         }
     }
@@ -412,7 +398,7 @@ mod tests {
         let cfg = FuzzConfig { iters: 1000, ..FuzzConfig::default() };
         let cancel = CancelToken::unlimited();
         cancel.cancel();
-        let report = run_fuzz(&cfg, &cancel);
+        let report = run_fuzz(&cfg, &Executor::new(1), &cancel);
         assert!(report.cancelled);
         assert_eq!(report.executed, 0);
     }

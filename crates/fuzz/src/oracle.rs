@@ -747,11 +747,13 @@ mod tests {
 
     #[test]
     fn clean_combinational_module_passes() {
+        let _gate = crate::inject_gate::disarmed();
         assert_eq!(check_source(ADDER, 3, &OracleConfig::default()), Verdict::Pass);
     }
 
     #[test]
     fn clean_sequential_module_passes() {
+        let _gate = crate::inject_gate::disarmed();
         assert_eq!(check_source(COUNTER, 5, &OracleConfig::default()), Verdict::Pass);
     }
 
@@ -763,6 +765,7 @@ mod tests {
 
     #[test]
     fn injected_optimizer_bug_is_caught() {
+        let _gate = crate::inject_gate::armed();
         // The miscompile mis-orders mux legs when absorbing an inverted
         // select, so a module built around `(!s) ? a : b` must trip the
         // optimized-netlist layers while the bug is armed.
@@ -789,6 +792,7 @@ mod tests {
 
     #[test]
     fn cache_differential_layer_passes_on_clean_modules() {
+        let _gate = crate::inject_gate::disarmed();
         let module = rtlock_rtl::parse(COUNTER).expect("parses");
         let pre = elaborate(&module).expect("elaborates");
         let mut opt = pre.clone();
@@ -806,6 +810,7 @@ mod tests {
 
     #[test]
     fn constant_output_module_passes_the_analysis_layer() {
+        let _gate = crate::inject_gate::disarmed();
         // `a & ~a` folds to a proven-constant output; the analysis layer
         // must agree with both the optimizer and the reference trace.
         let src = "module k(input a, input b, output y, output z);\n\

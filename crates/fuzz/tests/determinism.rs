@@ -2,10 +2,12 @@
 //!
 //! Corpus file names embed seeds, CI smoke runs pin a seed, and triage
 //! depends on replaying exactly what a campaign saw — so the same seed
-//! must yield byte-identical Verilog and identical verdicts, run to run.
+//! must yield byte-identical Verilog and identical verdicts, run to run
+//! and at every worker count.
 
 use rtlock_fuzz::gen::{generate, render, GenConfig};
 use rtlock_fuzz::oracle::{check_module, OracleConfig};
+use rtlock_exec::Executor;
 use rtlock_fuzz::{run_fuzz, FuzzConfig};
 use rtlock_governor::CancelToken;
 
@@ -34,15 +36,17 @@ fn same_seed_yields_identical_verdicts() {
 #[test]
 fn same_campaign_reports_identical_results() {
     let cfg = FuzzConfig { seed: 9, iters: 30, ..FuzzConfig::default() };
-    let a = run_fuzz(&cfg, &CancelToken::unlimited());
-    let b = run_fuzz(&cfg, &CancelToken::unlimited());
-    assert_eq!(a.executed, b.executed);
-    assert_eq!(a.incomplete, b.incomplete);
-    assert_eq!(a.divergences.len(), b.divergences.len());
-    for (x, y) in a.divergences.iter().zip(&b.divergences) {
-        assert_eq!(x.seed, y.seed);
-        assert_eq!(x.layer, y.layer);
-        assert_eq!(x.shrunk_source, y.shrunk_source);
+    let a = run_fuzz(&cfg, &Executor::new(1), &CancelToken::unlimited());
+    for threads in [2, 8] {
+        let b = run_fuzz(&cfg, &Executor::new(threads), &CancelToken::unlimited());
+        assert_eq!(a.executed, b.executed, "threads={threads}");
+        assert_eq!(a.incomplete, b.incomplete, "threads={threads}");
+        assert_eq!(a.divergences.len(), b.divergences.len(), "threads={threads}");
+        for (x, y) in a.divergences.iter().zip(&b.divergences) {
+            assert_eq!(x.seed, y.seed);
+            assert_eq!(x.layer, y.layer);
+            assert_eq!(x.shrunk_source, y.shrunk_source);
+        }
     }
 }
 

@@ -9,6 +9,7 @@
 //! serialized test body.
 
 use rtlock_fuzz::oracle::{check_source, Layer, OracleConfig, Verdict};
+use rtlock_exec::Executor;
 use rtlock_fuzz::{run_fuzz, FuzzConfig};
 use rtlock_governor::CancelToken;
 use rtlock_synth::opt::inject;
@@ -26,7 +27,7 @@ fn armed_optimizer_bug_is_caught_and_shrunk_small() {
 
     // Sanity: disarmed, the same campaign is clean.
     assert!(!inject::opt_mux_bug(), "flag must start disarmed");
-    let clean = run_fuzz(&cfg, &CancelToken::unlimited());
+    let clean = run_fuzz(&cfg, &Executor::new(1), &CancelToken::unlimited());
     assert_eq!(
         clean.divergences.len(),
         0,
@@ -35,7 +36,7 @@ fn armed_optimizer_bug_is_caught_and_shrunk_small() {
     );
 
     inject::set_opt_mux_bug(true);
-    let report = run_fuzz(&cfg, &CancelToken::unlimited());
+    let report = run_fuzz(&cfg, &Executor::new(1), &CancelToken::unlimited());
     inject::set_opt_mux_bug(false);
 
     assert!(

@@ -7,6 +7,7 @@
 //! whole file runs as its own test binary (like `injected_bug.rs`).
 
 use rtlock::journal::CampaignJournal;
+use rtlock_exec::Executor;
 use rtlock_fuzz::oracle::OracleConfig;
 use rtlock_fuzz::{run_fuzz, run_fuzz_resumable, FuzzConfig, FuzzReport};
 use rtlock_governor::CancelToken;
@@ -38,7 +39,7 @@ fn run_journaled(cfg: &FuzzConfig, path: &Path, jobs: usize) -> FuzzReport {
     let (mut journal, recovery) = CampaignJournal::open(path).expect("open journal");
     run_fuzz_resumable(
         cfg,
-        &rtlock_exec::Executor::new(jobs),
+        &Executor::new(jobs),
         &CancelToken::unlimited(),
         &mut journal,
         &recovery.events,
@@ -57,7 +58,7 @@ fn resumed_campaign_is_byte_identical_at_any_prefix() {
     };
     inject::set_opt_mux_bug(true);
     let outcome = std::panic::catch_unwind(|| {
-        let baseline = run_fuzz(&cfg, &CancelToken::unlimited());
+        let baseline = run_fuzz(&cfg, &Executor::new(1), &CancelToken::unlimited());
         assert!(
             !baseline.divergences.is_empty(),
             "armed bug must diverge for the replay path to be exercised"
@@ -110,7 +111,7 @@ fn fully_replayed_campaign_executes_nothing_new() {
     let (mut journal, recovery) = CampaignJournal::open(&path).expect("reopen");
     let resumed = run_fuzz_resumable(
         &cfg,
-        &rtlock_exec::Executor::new(2),
+        &Executor::new(2),
         &CancelToken::unlimited(),
         &mut journal,
         &recovery.events,

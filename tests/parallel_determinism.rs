@@ -1,6 +1,6 @@
 //! Deterministic-parallelism suite: every parallel entry point must
-//! produce output byte-identical to its sequential twin at any thread
-//! count.
+//! produce output byte-identical at every thread count, with its
+//! one-worker run as the reference.
 //!
 //! Covered: the catalog flow runner (merged reports), the attack
 //! portfolio (canonical verdicts), and the fuzzing campaign (reports and
@@ -13,15 +13,13 @@
 use rtlock_exec::Executor;
 use rtlock_governor::CancelToken;
 use rtlock_repro::attacks::{
-    key_accuracy, portfolio_attack, portfolio_attack_sequential, AttackConfig, PortfolioConfig,
-    PortfolioTarget,
+    key_accuracy, portfolio_attack, AttackConfig, PortfolioConfig, PortfolioTarget,
 };
 use rtlock_repro::netlist::{GateKind, Netlist};
 use rtlock_repro::rtlock::database::DatabaseConfig;
 use rtlock_repro::rtlock::select::SelectionSpec;
 use rtlock_repro::rtlock::{
-    lock_catalog_parallel, lock_catalog_sequential, CatalogEntry, CatalogJob, RtlLockConfig,
-    RunBudget,
+    lock_catalog_parallel, CatalogEntry, CatalogJob, CatalogReport, RtlLockConfig, RunBudget,
 };
 use rtlock_repro::artifacts::ArtifactStore;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -88,13 +86,18 @@ fn quick_portfolio() -> PortfolioConfig {
     }
 }
 
+/// The reference run: the catalog on one worker.
+fn one_worker(job: &CatalogJob) -> CatalogReport {
+    lock_catalog_parallel(job, &Executor::new(1), &CancelToken::unlimited())
+}
+
 #[test]
 fn catalog_flow_reports_are_identical_across_thread_counts() {
     let _guard = serial();
     let job = catalog_job(4, None);
-    let reference = lock_catalog_sequential(&job, &CancelToken::unlimited()).canonical();
+    let reference = one_worker(&job).canonical();
     assert!(reference.contains("key_bits"), "flow must succeed:\n{reference}");
-    for threads in [1, 2, 8] {
+    for threads in [2, 8] {
         let report = lock_catalog_parallel(&job, &Executor::new(threads), &CancelToken::unlimited());
         assert_eq!(report.canonical(), reference, "threads={threads}");
         assert_eq!(report.completed(), 4, "threads={threads}");
@@ -107,9 +110,9 @@ fn catalog_with_attacks_is_identical_across_thread_counts() {
     // scan: None exposes a full-scan combinational surface, so the
     // portfolio's SAT member gets a real target inside each worker.
     let job = catalog_job(2, Some(quick_portfolio()));
-    let reference = lock_catalog_sequential(&job, &CancelToken::unlimited()).canonical();
+    let reference = one_worker(&job).canonical();
     assert!(reference.contains("attack.winner"), "portfolio must run:\n{reference}");
-    for threads in [1, 2, 8] {
+    for threads in [2, 8] {
         let report = lock_catalog_parallel(&job, &Executor::new(threads), &CancelToken::unlimited());
         assert_eq!(report.canonical(), reference, "threads={threads}");
     }
@@ -155,11 +158,12 @@ fn portfolio_verdicts_are_identical_across_thread_counts() {
     let (locked, orig) = comb_pair(&[true, false]);
     let target = PortfolioTarget { comb: Some((&locked, &orig)), seq: None };
     let cfg = quick_portfolio();
-    let reference = portfolio_attack_sequential(&target, &cfg, &CancelToken::unlimited());
+    let reference =
+        portfolio_attack(&target, &cfg, &Executor::new(1), &CancelToken::unlimited());
     assert!(reference.broken, "SAT member must break the target");
     let key = reference.key.as_deref().expect("winner recovered a key");
     assert_eq!(key_accuracy(&locked, &orig, key, 64, 7), 1.0);
-    for threads in [1, 2, 8] {
+    for threads in [2, 8] {
         let exec = Executor::new(threads);
         let verdict = portfolio_attack(&target, &cfg, &exec, &CancelToken::unlimited());
         assert_eq!(verdict.canonical(), reference.canonical(), "threads={threads}");
@@ -185,7 +189,7 @@ fn dir_snapshot(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
 
 #[test]
 fn fuzz_reports_and_corpora_are_identical_across_thread_counts() {
-    use rtlock_repro::fuzz::{run_fuzz, run_fuzz_parallel, FuzzConfig, FuzzReport};
+    use rtlock_repro::fuzz::{run_fuzz, FuzzConfig, FuzzReport};
     use rtlock_repro::synth::opt::inject;
 
     let _guard = serial();
@@ -218,13 +222,12 @@ fn fuzz_reports_and_corpora_are_identical_across_thread_counts() {
     };
 
     inject::set_opt_mux_bug(true);
-    let seq_dir = scratch.join("seq");
-    let reference = run_fuzz(&cfg_for(&seq_dir), &CancelToken::unlimited());
+    let one_dir = scratch.join("par1");
+    let reference = run_fuzz(&cfg_for(&one_dir), &Executor::new(1), &CancelToken::unlimited());
     let mut outcomes = Vec::new();
     for threads in [2, 8] {
         let dir = scratch.join(format!("par{threads}"));
-        let report =
-            run_fuzz_parallel(&cfg_for(&dir), &Executor::new(threads), &CancelToken::unlimited());
+        let report = run_fuzz(&cfg_for(&dir), &Executor::new(threads), &CancelToken::unlimited());
         outcomes.push((threads, dir, report));
     }
     inject::set_opt_mux_bug(false);
@@ -232,9 +235,9 @@ fn fuzz_reports_and_corpora_are_identical_across_thread_counts() {
     assert!(
         !reference.divergences.is_empty(),
         "armed miscompile must produce divergences within {} iterations",
-        cfg_for(&seq_dir).iters
+        cfg_for(&one_dir).iters
     );
-    let reference_corpus = dir_snapshot(&seq_dir);
+    let reference_corpus = dir_snapshot(&one_dir);
     assert_eq!(reference_corpus.len(), {
         let mut seeds: Vec<u64> = reference.divergences.iter().map(|d| d.seed).collect();
         seeds.dedup();
@@ -264,8 +267,9 @@ fn fuzz_reports_are_identical_with_cache_layer_on_and_off() {
         ..FuzzConfig::default()
     };
     inject::set_opt_mux_bug(true);
-    let with_layer = run_fuzz(&cfg_for(true), &CancelToken::unlimited());
-    let without_layer = run_fuzz(&cfg_for(false), &CancelToken::unlimited());
+    let exec = Executor::new(1);
+    let with_layer = run_fuzz(&cfg_for(true), &exec, &CancelToken::unlimited());
+    let without_layer = run_fuzz(&cfg_for(false), &exec, &CancelToken::unlimited());
     inject::set_opt_mux_bug(false);
 
     assert!(!with_layer.divergences.is_empty(), "armed miscompile must diverge");
@@ -296,7 +300,7 @@ fn cached_job(cache: Option<Arc<ArtifactStore>>) -> CatalogJob {
 #[test]
 fn catalog_reports_are_identical_across_cache_modes_and_thread_counts() {
     let _guard = serial();
-    let reference = lock_catalog_sequential(&cached_job(None), &CancelToken::unlimited()).canonical();
+    let reference = one_worker(&cached_job(None)).canonical();
     assert!(reference.contains("attack.winner"), "portfolio must run:\n{reference}");
 
     // One store deliberately reused across thread counts: cold on the
@@ -338,8 +342,7 @@ fn poisoned_disk_entries_are_recomputed_and_healed() {
     let _ = std::fs::remove_dir_all(&scratch);
 
     let store = Arc::new(ArtifactStore::on_disk(&scratch));
-    let reference =
-        lock_catalog_sequential(&cached_job(Some(store)), &CancelToken::unlimited()).canonical();
+    let reference = one_worker(&cached_job(Some(store))).canonical();
 
     // Corrupt every persisted artifact: flip the last payload byte, which
     // breaks the frame checksum without touching its length fields.
@@ -355,8 +358,7 @@ fn poisoned_disk_entries_are_recomputed_and_healed() {
     assert!(corrupted > 0, "the disk tier must have persisted artifacts");
 
     let poisoned_store = Arc::new(ArtifactStore::on_disk(&scratch));
-    let report =
-        lock_catalog_sequential(&cached_job(Some(poisoned_store.clone())), &CancelToken::unlimited());
+    let report = one_worker(&cached_job(Some(poisoned_store.clone())));
     assert_eq!(report.canonical(), reference, "corrupt entries must be recomputed, not served");
     let stats = poisoned_store.stats();
     assert!(stats.poisoned > 0, "checksum failures must be counted: {}", stats.line());
@@ -364,8 +366,7 @@ fn poisoned_disk_entries_are_recomputed_and_healed() {
     // Self-heal: the poisoned run rewrote every entry it touched, so a
     // third store over the same directory sees only clean frames.
     let healed_store = Arc::new(ArtifactStore::on_disk(&scratch));
-    let report =
-        lock_catalog_sequential(&cached_job(Some(healed_store.clone())), &CancelToken::unlimited());
+    let report = one_worker(&cached_job(Some(healed_store.clone())));
     assert_eq!(report.canonical(), reference, "healed cache must still reproduce the report");
     let stats = healed_store.stats();
     assert_eq!(stats.poisoned, 0, "recomputed entries must have replaced the corrupt ones");
