@@ -11,7 +11,7 @@
 use crate::hash::{bytes_hash, structural_hash};
 use crate::store::{ArtifactKind, ArtifactStore};
 use rtlock_governor::CancelToken;
-use rtlock_netlist::{codec, CnfBuilder, Netlist, Scoap};
+use rtlock_netlist::{codec, Clauses, CnfBuilder, Netlist, Scoap};
 use rtlock_rtl::Module;
 use rtlock_synth::{elaborate, optimize, OptStats, SynthError};
 
@@ -153,6 +153,9 @@ pub fn cached_scoap(store: Option<&ArtifactStore>, netlist: &Netlist, token: &Ca
 /// instantiation reproduces the exact clause list and variable numbering a
 /// direct `encode_comb` call would have produced — cached and uncached
 /// attacks solve literally the same CNF.
+///
+/// The clauses sit in one flat [`Clauses`] buffer, as in the builder. The
+/// cold-tier bytes still spell each clause out as its length and literals.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CnfTemplate {
     n_in: u32,
@@ -161,7 +164,7 @@ pub struct CnfTemplate {
     num_vars: u32,
     /// Per-gate output literal, template numbering.
     gate_vars: Vec<i32>,
-    clauses: Vec<Vec<i32>>,
+    clauses: Clauses,
 }
 
 impl CnfTemplate {
@@ -267,10 +270,10 @@ impl CnfTemplate {
         let gv_len = r.u32()? as usize;
         let gate_vars = r.i32s(gv_len)?;
         let clause_count = r.u32()? as usize;
-        let mut clauses = Vec::with_capacity(clause_count.min(bytes.len() / 4));
+        let mut clauses = Clauses::new();
         for _ in 0..clause_count {
             let len = r.u32()? as usize;
-            clauses.push(r.i32s(len)?);
+            clauses.push(&r.i32s(len)?);
         }
         if !r.0.is_empty() {
             return None;
@@ -366,6 +369,29 @@ mod tests {
         for len in 0..bytes.len() {
             let _ = CnfTemplate::decode_bytes(&bytes[..len]);
         }
+    }
+
+    /// The cold-tier wire format, as little-endian words: `n_in`,
+    /// `n_state`, `num_vars`, the gate-literal count and literals, then
+    /// the clause count and each clause as its length and literals.
+    /// Entries already on disk must stay readable, so this never changes.
+    #[test]
+    fn template_bytes_keep_their_wire_format() {
+        let bytes = CnfTemplate::build(&sample()).encode_bytes();
+        let words: Vec<i32> =
+            bytes.chunks_exact(4).map(|w| i32::from_le_bytes(w.try_into().unwrap())).collect();
+        #[rustfmt::skip]
+        let pinned = [
+            3, 1, 7,
+            7, 1, 2, 3, 5, 6, 4, 7,
+            11,
+            3, -5, 1, 2, 3, -5, -1, -2, 3, 5, -1, 2, 3, 5, 1, -2,
+            3, 3, -5, 6, 3, 3, 5, -6, 3, -3, -1, 6, 3, -3, 1, -6,
+            2, 7, 4, 2, 7, 5, 3, -7, -4, -5,
+        ];
+        assert_eq!(words, pinned);
+        let decoded = CnfTemplate::decode_bytes(&bytes).expect("decodes");
+        assert_eq!(decoded.encode_bytes(), bytes);
     }
 
     #[test]

@@ -116,14 +116,15 @@ pub(crate) enum Extraction {
     Failed(AttackOutcome),
 }
 
-/// The incremental solver state of one attack: the CNF, the solver and
-/// the count of clauses already drained into it, the input partition, the
-/// two key copies and the activation literal that guards the miter.
+/// The incremental solver state of one attack: the CNF, the solver, the
+/// input partition, the two key copies and the activation literal that
+/// guards the miter. The CNF holds only the clauses added since the last
+/// solve; each solve streams them into the solver and drops them, so the
+/// solver's clause arena is the one copy of the formula.
 pub(crate) struct MiterSession<'n, S> {
     pub(crate) problem: AttackProblem<'n>,
     cnf: CnfBuilder,
     solver: S,
-    drained: usize,
     keys: [Vec<i32>; 2],
     act: i32,
 }
@@ -147,7 +148,7 @@ impl<'n, S: SatBackend> MiterSession<'n, S> {
         let any_diff = cnf.or_lit(&diffs);
         let act = cnf.fresh_var();
         cnf.add_clause(&[-act, any_diff]);
-        MiterSession { problem, cnf, solver: S::new(), drained: 0, keys, act }
+        MiterSession { problem, cnf, solver: S::new(), keys, act }
     }
 
     /// Adds an oracle observation: `encode` runs once per key copy, first
@@ -161,14 +162,14 @@ impl<'n, S: SatBackend> MiterSession<'n, S> {
         }
     }
 
-    /// Drains the clauses added since the last call into the solver.
+    /// Streams the clauses added since the last call into the solver and
+    /// drops them from the CNF.
     fn sync(&mut self) {
         self.solver.reserve_vars(self.cnf.num_vars());
-        let clauses = self.cnf.clauses();
-        for c in &clauses[self.drained..] {
-            self.solver.add_dimacs_clause(c);
-        }
-        self.drained = clauses.len();
+        let solver = &mut self.solver;
+        self.cnf.drain_clauses(|c| {
+            solver.add_dimacs_clause(c);
+        });
     }
 
     /// Solves the miter under `token`'s budget. `Sat` means a
@@ -226,7 +227,47 @@ fn model_bits<S: SatBackend>(solver: &S, vars: &[i32]) -> Result<Vec<bool>, usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtlock_netlist::GateKind;
     use rtlock_sat::Solver;
+
+    #[test]
+    fn session_keeps_no_clause_once_solved() {
+        // y = a XOR k: two keys that differ disagree on every input, and
+        // one observation pins the key.
+        let mut n = Netlist::new("t");
+        let a = n.add_input("a");
+        let k = n.add_input("k");
+        n.mark_key_input(k);
+        let y = n.add_gate(GateKind::Xor, vec![a, k]);
+        n.add_output("y", y);
+
+        let problem = AttackProblem::new(&n);
+        let mut cnf = CnfBuilder::new();
+        let x = fresh_vars(&mut cnf, 1);
+        let keys = [fresh_vars(&mut cnf, 1), fresh_vars(&mut cnf, 1)];
+        let mut session = MiterSession::<Solver>::open(problem, cnf, keys, |cnf, problem, keys| {
+            let vars = cnf.encode_comb(problem.locked, &problem.assemble(keys, &x), &[]);
+            vec![vars[y.index()]]
+        });
+        assert!(!session.cnf.clauses().is_empty(), "the miter is pending");
+        let vars = session.cnf.num_vars();
+        let token = CancelToken::unlimited();
+
+        assert_eq!(session.solve_miter(&token), SolveResult::Sat);
+        assert_eq!(session.cnf.clauses().len(), 0);
+        assert_eq!(session.cnf.num_vars(), vars, "draining keeps the numbering");
+
+        // The oracle answers y = 1 at a = 0, so k = 1.
+        session.constrain(|cnf, problem, keys| {
+            let xin = fixed_vars(cnf, &[false]);
+            let vars = cnf.encode_comb(problem.locked, &problem.assemble(keys, &xin), &[]);
+            cnf.assert_lit(vars[y.index()]);
+        });
+        assert!(!session.cnf.clauses().is_empty(), "the observation is pending");
+        assert_eq!(session.solve_miter(&token), SolveResult::Unsat);
+        assert_eq!(session.cnf.clauses().len(), 0);
+        assert!(matches!(session.extract_key("inconsistent"), Extraction::Key(k) if k == [true]));
+    }
 
     #[test]
     fn missing_model_assignment_is_an_error_not_a_zero_bit() {

@@ -11,7 +11,7 @@ use crate::candidates::Candidate;
 use crate::database::Database;
 use rtlock_governor::CancelToken;
 use rtlock_ilp::{IlpProblem, Sense};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Designer specification (the constraint side of Equation 1).
 #[derive(Debug, Clone, Copy)]
@@ -96,8 +96,9 @@ pub fn select_ilp_bounded(
             spec.min_key_bits as f64,
         );
     }
-    // Mutual exclusion per locking point.
-    let mut by_point: HashMap<String, Vec<usize>> = HashMap::new();
+    // Mutual exclusion per locking point, in point order so the ILP's rows
+    // do not depend on a per-process hash seed.
+    let mut by_point: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for (v, c) in rows.iter().enumerate() {
         by_point.entry(candidates[c.candidate_index].point_id()).or_default().push(v);
     }

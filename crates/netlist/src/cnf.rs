@@ -9,7 +9,103 @@
 use crate::gate::GateKind;
 use crate::netlist::Netlist;
 
+/// A clause list in one flat literal buffer.
+///
+/// Clause `i` is `lits[ends[i - 1]..ends[i]]` (from 0 for the first). Two
+/// vectors hold the whole list, so appending a clause allocates nothing
+/// once the buffers have grown, and [`Clauses::drain`] empties the list
+/// without giving their capacity back. Iterating a `&Clauses` yields each
+/// clause as `&[i32]`, in the order it was pushed.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Clauses {
+    lits: Vec<i32>,
+    ends: Vec<usize>,
+}
+
+impl Clauses {
+    /// An empty list.
+    pub fn new() -> Self {
+        Clauses::default()
+    }
+
+    /// Number of clauses.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when the list holds no clause.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Appends `clause`.
+    pub fn push(&mut self, clause: &[i32]) {
+        self.lits.extend_from_slice(clause);
+        self.ends.push(self.lits.len());
+    }
+
+    /// The clauses, in push order.
+    pub fn iter(&self) -> ClauseIter<'_> {
+        ClauseIter { lits: &self.lits, ends: self.ends.iter(), start: 0 }
+    }
+
+    /// Hands every clause to `sink` in push order, then empties the list.
+    /// The buffers keep their capacity for the next clauses.
+    pub fn drain(&mut self, mut sink: impl FnMut(&[i32])) {
+        for clause in self.iter() {
+            sink(clause);
+        }
+        self.lits.clear();
+        self.ends.clear();
+    }
+}
+
+impl std::fmt::Debug for Clauses {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a Clauses {
+    type Item = &'a [i32];
+    type IntoIter = ClauseIter<'a>;
+
+    fn into_iter(self) -> ClauseIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the clauses of a [`Clauses`] list.
+#[derive(Debug, Clone)]
+pub struct ClauseIter<'a> {
+    lits: &'a [i32],
+    ends: std::slice::Iter<'a, usize>,
+    start: usize,
+}
+
+impl<'a> Iterator for ClauseIter<'a> {
+    type Item = &'a [i32];
+
+    fn next(&mut self) -> Option<&'a [i32]> {
+        let end = *self.ends.next()?;
+        let clause = &self.lits[self.start..end];
+        self.start = end;
+        Some(clause)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
+    }
+}
+
 /// A CNF formula under construction.
+///
+/// The builder allocates variables and collects clauses into a flat
+/// [`Clauses`] buffer. A caller that loads one solver incrementally
+/// streams the pending clauses out with [`CnfBuilder::drain_clauses`]
+/// instead of keeping a second copy: the builder then holds only the
+/// clauses added since the last drain, while variable numbering carries
+/// on.
 ///
 /// # Examples
 ///
@@ -30,17 +126,22 @@ use crate::netlist::Netlist;
 /// let vars = cnf.encode_comb(&n, &[va, vb], &[]);
 /// cnf.assert_lit(vars[y.index()]);   // force y = 1
 /// assert!(cnf.clauses().len() >= 3);
+///
+/// let mut streamed = 0;
+/// cnf.drain_clauses(|clause| streamed += clause.len());
+/// assert!(streamed >= 7);
+/// assert!(cnf.clauses().is_empty());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CnfBuilder {
-    clauses: Vec<Vec<i32>>,
+    clauses: Clauses,
     next_var: i32,
 }
 
 impl CnfBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
-        CnfBuilder { clauses: Vec::new(), next_var: 0 }
+        CnfBuilder::default()
     }
 
     /// Allocates a fresh variable and returns its positive literal.
@@ -54,13 +155,19 @@ impl CnfBuilder {
         self.next_var as usize
     }
 
-    /// The clauses accumulated so far.
-    pub fn clauses(&self) -> &[Vec<i32>] {
+    /// The clauses added since the builder was created or last drained.
+    pub fn clauses(&self) -> &Clauses {
         &self.clauses
     }
 
+    /// Hands every pending clause to `sink` in the order it was added,
+    /// then forgets them. Variable numbering is unaffected.
+    pub fn drain_clauses(&mut self, sink: impl FnMut(&[i32])) {
+        self.clauses.drain(sink);
+    }
+
     /// Consumes the builder, returning `(num_vars, clauses)`.
-    pub fn into_parts(self) -> (usize, Vec<Vec<i32>>) {
+    pub fn into_parts(self) -> (usize, Clauses) {
         (self.next_var as usize, self.clauses)
     }
 
@@ -74,7 +181,7 @@ impl CnfBuilder {
         for &l in lits {
             assert!(l != 0 && l.unsigned_abs() as i32 <= self.next_var, "literal {l} out of range");
         }
-        self.clauses.push(lits.to_vec());
+        self.clauses.push(lits);
     }
 
     /// Asserts a single literal.
@@ -106,9 +213,10 @@ impl CnfBuilder {
     pub fn or_lit(&mut self, lits: &[i32]) -> i32 {
         assert!(!lits.is_empty(), "or over empty set");
         let o = self.fresh_var();
-        let mut big = vec![-o];
-        big.extend_from_slice(lits);
-        self.clauses.push(big);
+        // The long clause `-o ∨ lits…`: `push` closes the clause opened by
+        // `-o`.
+        self.clauses.lits.push(-o);
+        self.clauses.push(lits);
         for &l in lits {
             self.add_clause(&[o, -l]);
         }
@@ -331,6 +439,66 @@ mod tests {
         cnf.assert_lit(-b);
         cnf.assert_lit(o);
         assert!(!brute_sat(&cnf), "0 or 0 = 0");
+    }
+
+    /// `y = NOT(a AND b)` under fresh inputs, then `OR(x, y, c)` asserted.
+    fn small_formula() -> CnfBuilder {
+        let mut n = Netlist::new("t");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let _c = n.add_input("c");
+        let x = n.add_gate(GateKind::And, vec![a, b]);
+        let y = n.add_gate(GateKind::Not, vec![x]);
+        n.add_output("y", y);
+        let mut cnf = CnfBuilder::new();
+        let (ins, _, vars) = cnf.encode_fresh(&n);
+        let o = cnf.or_lit(&[vars[x.index()], vars[y.index()], ins[2]]);
+        cnf.assert_lit(o);
+        cnf
+    }
+
+    const SMALL_FORMULA: [&[i32]; 10] = [
+        &[-4, 1],
+        &[-4, 2],
+        &[4, -1, -2],
+        &[-5, -4],
+        &[5, 4],
+        &[-6, 4, 5, 3],
+        &[6, -4],
+        &[6, -5],
+        &[6, -3],
+        &[6],
+    ];
+
+    #[test]
+    fn clauses_keep_their_order_and_boundaries() {
+        let cnf = small_formula();
+        assert_eq!(cnf.num_vars(), 6);
+        assert_eq!(cnf.clauses().len(), SMALL_FORMULA.len());
+        assert_eq!(cnf.clauses().iter().collect::<Vec<_>>(), SMALL_FORMULA);
+        assert_eq!(
+            format!("{:?}", cnf.clauses()),
+            "[[-4, 1], [-4, 2], [4, -1, -2], [-5, -4], [5, 4], [-6, 4, 5, 3], [6, -4], [6, -5], [6, -3], [6]]"
+        );
+    }
+
+    #[test]
+    fn drain_streams_every_clause_then_empties_the_list() {
+        let mut cnf = small_formula();
+        let mut seen: Vec<Vec<i32>> = Vec::new();
+        cnf.drain_clauses(|c| seen.push(c.to_vec()));
+        assert_eq!(seen, SMALL_FORMULA);
+        assert_eq!(cnf.clauses().len(), 0);
+        assert!(cnf.clauses().is_empty());
+        assert_eq!(cnf.num_vars(), 6);
+
+        // Later clauses start a fresh list under the same numbering.
+        let v = cnf.fresh_var();
+        cnf.add_clause(&[-v, 1]);
+        assert_eq!(cnf.clauses().iter().collect::<Vec<_>>(), [&[-7, 1][..]]);
+        cnf.drain_clauses(|c| seen.push(c.to_vec()));
+        assert_eq!(seen.last().map(Vec::as_slice), Some(&[-7, 1][..]));
+        assert!(cnf.clauses().is_empty());
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod scoap;
 pub mod sim;
 
 pub use bench_format::{from_bench, to_bench};
-pub use cnf::CnfBuilder;
+pub use cnf::{ClauseIter, Clauses, CnfBuilder};
 pub use gate::{Gate, GateId, GateKind};
 pub use netlist::{CycleError, Netlist, Port};
 pub use ppa::{PpaConfig, PpaReport};

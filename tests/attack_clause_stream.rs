@@ -5,18 +5,20 @@
 //! that journals and the benchmark's canonical digests record. These
 //! tests pin the canonical outcomes on b05 and fibo, locked with probes
 //! off (the deterministic flow) exactly as the benchmark's `attack`
-//! set-up does.
+//! set-up does, and the SAT attack's clause stream itself as a digest.
 
 use rtlock_repro::attacks::{
-    bmc_attack, sat_attack, AttackConfig, AttackOutcome, BmcConfig,
+    bmc_attack, sat_attack, sat_attack_with, AttackConfig, AttackOutcome, BmcConfig,
 };
 use rtlock_repro::netlist::Netlist;
+use rtlock_repro::sat::{Budget, Lit, SatBackend, SolveResult, Solver, Stats, Var};
 use rtlock_repro::rtlock::candidates::EnumConfig;
 use rtlock_repro::rtlock::database::DatabaseConfig;
 use rtlock_repro::rtlock::scan_lock::ScanLockConfig;
 use rtlock_repro::rtlock::select::SelectionSpec;
 use rtlock_repro::rtlock::{lock, AttackSurface, RtlLockConfig};
 use rtlock_governor::CancelToken;
+use std::cell::Cell;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -111,4 +113,89 @@ fn pre_cancelled_token_times_the_bmc_attack_out() {
         matches!(out, AttackOutcome::TimedOut { iterations: 0, .. }),
         "cancelled before the first solve: {out:?}"
     );
+}
+
+thread_local! {
+    /// FNV-1a state of every [`Recording`] call made on this thread.
+    static STREAM: Cell<u64> = const { Cell::new(FNV_OFFSET) };
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `words` into this thread's stream digest.
+fn record(words: impl IntoIterator<Item = u64>) {
+    STREAM.with(|h| {
+        let mut x = h.get();
+        for w in words {
+            for b in w.to_le_bytes() {
+                x = (x ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h.set(x);
+    });
+}
+
+/// The default solver, recording every `reserve_vars` and clause call into
+/// the thread's stream digest before passing it on. Each call is tagged,
+/// and a clause is prefixed with its length, so the digest fixes the
+/// exact sequence of variable reservations and clauses.
+struct Recording(Solver);
+
+impl SatBackend for Recording {
+    fn new() -> Self {
+        record([0]);
+        Recording(Solver::new())
+    }
+    fn reserve_vars(&mut self, n: usize) {
+        record([1, n as u64]);
+        self.0.reserve_vars(n);
+    }
+    fn num_vars(&self) -> usize {
+        self.0.num_vars()
+    }
+    fn add_dimacs_clause(&mut self, lits: &[i32]) -> bool {
+        record([2, lits.len() as u64].into_iter().chain(lits.iter().map(|&l| l as i64 as u64)));
+        self.0.add_dimacs_clause(lits)
+    }
+    fn add_clause(&mut self, lits: &[Lit]) -> bool {
+        record([3, lits.len() as u64].into_iter().chain(lits.iter().map(|l| l.to_dimacs() as i64 as u64)));
+        self.0.add_clause(lits)
+    }
+    fn set_budget(&mut self, budget: Budget) {
+        self.0.set_budget(budget);
+    }
+    fn stats(&self) -> Stats {
+        self.0.stats()
+    }
+    fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
+        self.0.solve(assumptions)
+    }
+    fn value(&self, var: Var) -> Option<bool> {
+        self.0.value(var)
+    }
+}
+
+/// The digest of every solver call `sat_attack` makes on `(locked,
+/// original)`, with the attack's canonical outcome.
+fn sat_clause_stream(locked: &Netlist, original: &Netlist) -> (u64, String) {
+    STREAM.with(|h| h.set(FNV_OFFSET));
+    let out = sat_attack_with::<Recording>(locked, original, &AttackConfig::default());
+    (STREAM.with(Cell::get), out.canonical())
+}
+
+#[test]
+fn sat_attack_on_b05_feeds_its_solver_a_pinned_clause_stream() {
+    let (locked, original) = b05_comb_views();
+    let (digest, outcome) = sat_clause_stream(locked, original);
+    assert!(outcome.starts_with("key-found("), "{outcome}");
+    assert_eq!(format!("{digest:016x}"), "0a9d3070629fe4ce");
+}
+
+#[test]
+fn sat_attack_on_fibo_feeds_its_solver_a_pinned_clause_stream() {
+    let (locked, original) = surface("fibo", false);
+    assert!(locked.dffs().is_empty(), "full scan leaves a combinational view");
+    let (digest, outcome) = sat_clause_stream(&locked, &original);
+    assert!(outcome.starts_with("key-found("), "{outcome}");
+    assert_eq!(format!("{digest:016x}"), "a5356b3f55081af3");
 }
